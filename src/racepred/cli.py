@@ -139,7 +139,6 @@ def _analyze(args: argparse.Namespace, out) -> int:
 def _validate(args: argparse.Namespace, out) -> int:
     try:
         with _open_input(args.input) as f:
-            from .trace_model import parse_trace
             trace = parse_trace(f)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -183,7 +182,6 @@ def _generate(args: argparse.Namespace, out) -> int:
 def _oracle(args: argparse.Namespace, out) -> int:
     try:
         with _open_input(args.input) as f:
-            from .trace_model import parse_trace
             trace = parse_trace(f)
         hb = oracle_mod.hb_closure(trace, args.bound)
         wprec = oracle_mod.wcp_prec_closure(trace, args.bound)

@@ -8,7 +8,13 @@ dumps from the two detectors line up component for component.  Reads and
 writes never join anything.
 
 Re-entrant sections are flattened with the same depth counters as the
-WCP engine and fork/join carry the clock to/from the child.
+WCP engine and fork/join carry the clock to/from the child.  A join ends
+the joined thread's granule, as a fork ends the parent's: should the
+joined thread act again (validate reports that as JoinOfLiveThread), its
+local clock bumps first.  So every clock a thread exports is an epoch --
+a clock that knows u's local time n is HB-after every event of u with
+local time n -- and this engine's clocks stay equal to the WCP engine's
+HB clocks, whose release drain relies on the same rule.
 """
 
 from __future__ import annotations
@@ -144,6 +150,8 @@ class HbEngine:
             self.warnings.append(f"join of unknown thread {u} ignored")
             return tuple(self.curr[t])
         join_into(self.curr[t], self.curr[u])
+        # exporting u's clock ends u's granule, as a fork ends the parent's
+        self.pending[u] = True
         return tuple(self.curr[t])
 
     _DISPATCH = {READ: read, WRITE: write, ACQUIRE: acquire, RELEASE: release,

@@ -303,7 +303,7 @@ def validate(trace: Trace) -> ValidationReport:
                 holder.pop(l, None)
         elif e.kind == FORK:
             u = e.op
-            if u in forked or first_idx.get(u, trace.n_events) < i:
+            if u == t or u in forked or first_idx.get(u, trace.n_events) < i:
                 violations.append(Violation(i, FORK_OF_KNOWN_THREAD,
                                             f"fork of already-active thread {trace.thread_names[u]}"))
             forked.add(u)

@@ -5,8 +5,8 @@ joins the timestamps of every event strictly WCP-before t's latest event,
 and hbt[t] joins those of every event HB-before it (component t mirrors
 n[t]).  The timestamp of t's latest event is pred[t] with component t
 set to n[t]; it is materialized on demand rather than mirrored.  n[t]
-bumps just before the next event of t whenever t's previous event was a
-release.
+bumps just before the next event of t whenever t's granule has ended
+since: t released a lock, forked a thread or was joined.
 
 Per lock: the pred/hbt values of the last release, plus an append-only
 log of critical sections (owner, acquire-time, release-HB-time) with one
@@ -15,8 +15,22 @@ logged acquire time is <= the live current time, folding the logged
 release time into pred; entries the releasing thread wrote itself are
 skipped.  This is the release-release ordering rule: once a foreign
 acquire time is dominated, some event of that section is WCP-ordered
-below us, so its release must be too.  Draining re-reads the current
-time after every fold, so one drained section can unlock the next.
+below us, so its release must be too, and one drained section can
+unlock the next.
+
+The drain decides acq <= C_t by one epoch comparison, acq[u] <=
+pred[t][u] for the entry's owner u (never t).  This is exact because
+pred[t] is only ever a join of whole hbt snapshots, and a thread exports
+its hbt only at the end of a granule -- a release, a fork, or being
+joined -- after which its local clock bumps.  So a snapshot that knows
+u's local time n is HB-after every event of u with local time n, and
+acq <= H_acq <= snapshot <= pred[t].  Folds are lazy: the release times
+of one lock form a chain (every acquire joins the lock's HB clock), so
+the latest drained release time subsumes all earlier ones.  The drain
+keeps only that one, folds it when an epoch test fails and retests the
+same entry, and folds it once more when the drain ends, so pred and
+every timestamp are those of eager folding.  With invariant_checks on,
+every epoch test is also compared with the full leq.
 
 Per (lock, variable): the release-HB-times of sections over the lock
 that read/wrote the variable.  An access must join the times of such
@@ -191,33 +205,32 @@ class WcpEngine:
         end = base + len(log_l)
         i = cur[t]
         pred_t = self.pred[t]
-        n_t = self.local[t]
+        checks = self.invariant_checks
+        last = None     # latest drained release time not yet folded into pred_t
         while i < end:
             entry = log_l[i - base]
-            if entry[0] == t:
+            u = entry[0]
+            if u == t:
                 i += 1
                 continue
             acq = entry[1]
-            # leq(acq, C_t) with C_t = pred_t except component t, which is n_t
-            ok = True
-            lp = len(pred_t)
-            for j in range(len(acq)):
-                aj = acq[j]
-                if j == t:
-                    if aj > n_t:
-                        ok = False
-                        break
-                elif aj > (pred_t[j] if j < lp else 0):
-                    ok = False
-                    break
+            # epoch test for leq(acq, C_t): u != t, so C_t[u] is pred_t[u]
+            ok = acq[u] <= (pred_t[u] if u < len(pred_t) else 0)
+            if checks:
+                self._check_epoch(t, acq, ok)
             if not ok:
-                break
-            rel_time = entry[2]
-            if rel_time is None:
+                if last is None:
+                    break
+                join_into(pred_t, last)
+                last = None
+                continue
+            last = entry[2]
+            if last is None:
                 raise EngineError("drained a critical section whose release is still pending")
-            join_into(pred_t, rel_time)
             self.queue_load -= 1
             i += 1
+        if last is not None:
+            join_into(pred_t, last)
         cur[t] = i
 
         _, entry_idx, rset, wset = frames.pop()
@@ -322,6 +335,8 @@ class WcpEngine:
             return self._snap(t)
         join_into(self.hbt[t], self.hbt[u])
         join_into(self.pred[t], self.pred[u])
+        # exporting u's HB clock ends u's granule, as a fork ends the parent's
+        self.pending[u] = True
         return self._snap(t)
 
     # -- driver ---------------------------------------------------------
@@ -344,6 +359,11 @@ class WcpEngine:
 
     def current_time(self, t: int) -> tuple[int, ...]:
         return self._snap(t)
+
+    def _check_epoch(self, t: int, acq, ok: bool) -> None:
+        if leq(acq, self._snap(t)) != ok:
+            raise EngineError(
+                f"epoch test disagrees with leq in the drain of thread {t} at event {self.events_processed}")
 
     def _check_invariants(self, t: int) -> None:
         p, h = self.pred[t], self.hbt[t]

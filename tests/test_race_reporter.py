@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from racepred.hb_engine import HbEngine
 from racepred.race_reporter import (AccessClocks, MemoryBudgetExceeded,
-                                    check_access, render_flags, resolve_pairs,
-                                    run_detector)
-from racepred.trace_model import READ, WRITE, parse_trace
-from racepred.tracegen import fixture
+                                    RacePair, check_access, render_flags,
+                                    resolve_pairs, run_detector)
+from racepred.trace_model import KIND_TOKEN, READ, WRITE, TraceBuilder, parse_trace
+from racepred.tracegen import GenParams, fixture, gen_random
+from racepred.vclock import leq
 from racepred.wcp_engine import WcpEngine
 
 
@@ -155,3 +158,61 @@ def test_flag_soundness_vs_oracle(corpus, corpus_oracle):
                         and not wle.holds(e2.idx, e1.idx):
                     expected.add(e2.idx)
         assert flagged == expected, tr.serialize()
+
+
+def reference_race_lines(tr, engine_cls):
+    """Pass 2 as a plain loop over all earlier accesses, with the full leq
+    test in both directions and no pair budget: the reference that
+    resolve_pairs must match line for line."""
+    flags = detect(tr, engine_cls)[2]
+    flagged_at = {f.idx for f in flags}
+    first = min(flagged_at, default=None)
+    seen: dict[int, list] = {}
+    agg: dict[tuple[str, str], list] = {}
+    eng = engine_cls()
+    for e in tr.events:
+        c = eng.process(e)
+        if e.kind > WRITE:
+            continue
+        loc = e.loc_or_default()
+        earlier = seen.setdefault(e.op, [])
+        if e.idx in flagged_at:
+            latest = None
+            for i1, t1, k1, loc1, c1 in earlier:
+                if (t1 != e.tid and WRITE in (k1, e.kind)
+                        and not leq(c1, c) and not leq(c, c1)):
+                    rec = agg.setdefault(tuple(sorted((loc1, loc))), [0, None, None, False])
+                    rec[0] += 1
+                    if rec[1] is None or e.idx - i1 < rec[1]:
+                        rec[1], rec[2] = e.idx - i1, (i1, e.idx)
+                    latest = loc1
+            if latest is not None and e.idx == first:
+                agg[tuple(sorted((latest, loc)))][3] = True
+        earlier.append((e.idx, e.tid, e.kind, loc, c))
+    return [RacePair(a, b, *rec).render(engine_cls.detector) for (a, b), rec in sorted(agg.items())]
+
+
+def with_sites(tr, rng, sites=3):
+    """Copy of tr where each event gets one of a few locations per (op, operand),
+    so that distinct events share locations, as in real logs."""
+    b = TraceBuilder()
+    for e in tr.events:
+        operand = tr.operand_name(e)
+        loc = f"{KIND_TOKEN[e.kind]}.{operand}:{rng.randrange(sites)}"
+        b.add(tr.thread_names[e.tid], e.kind, operand, loc)
+    return b.build()
+
+
+def test_resolve_pairs_matches_leq_reference():
+    rng = random.Random(11)
+    lines = 0
+    for seed in range(150):
+        tr = with_sites(gen_random(GenParams(threads=2 + seed % 5, locks=seed % 4,
+                                             vars=1 + seed % 3, events=40 + seed % 80,
+                                             p_lock=(0.2, 0.4)[seed % 2], seed=500 + seed)), rng)
+        for engine_cls in (WcpEngine, HbEngine):
+            pairs, _ = resolve_pairs(tr, detect(tr, engine_cls)[2], engine_cls)
+            got = [p.render(engine_cls.detector) for p in pairs]
+            assert got == reference_race_lines(tr, engine_cls), (seed, engine_cls.detector)
+            lines += len(got)
+    assert lines > 5000

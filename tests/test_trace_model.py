@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racepred.hb_engine import HbEngine
 from racepred.trace_model import (ACQUIRE, READ, WRITE, Event, ParseError,
                                   TraceBuilder, conflicting, parse_trace,
                                   validate)
 from racepred.tracegen import GenParams, gen_random
+from racepred.wcp_engine import EngineError, WcpEngine
 
 
 def parse(lines):
@@ -116,6 +120,8 @@ def test_validate_dangling_is_warning():
 def test_validate_fork_join():
     rep = validate(parse(["T1|w|x", "T2|fork|T1"]))
     assert any(v.kind == "ForkOfKnownThread" for v in rep.errors())
+    rep = validate(parse(["T1|fork|T1"]))
+    assert [v.kind for v in rep.errors()] == ["ForkOfKnownThread"]
     rep = validate(parse(["T1|fork|T2", "T2|w|x", "T1|join|T2", "T2|w|x"]))
     assert any(v.kind == "JoinOfLiveThread" for v in rep.errors())
     rep = validate(parse(["T1|fork|T2", "T2|w|x", "T1|join|T2"]))
@@ -150,3 +156,29 @@ def test_match_exists_between_same_lock_acquires(i):
             released[e.op] = False
         elif e.kind == 3:   # RELEASE
             released[e.op] = True
+
+
+def test_validate_ok_implies_engines_accept():
+    # seeded fuzz over short traces of every event kind: a trace validate
+    # passes must run through both engines without an EngineError
+    rng = random.Random(3)
+    operands = {"acq": ["l", "m"], "rel": ["l", "m"], "r": ["x", "y"], "w": ["x", "y"],
+                "fork": ["T1", "T2", "T3"], "join": ["T1", "T2", "T3"]}
+    accepted = 0
+    for _ in range(4000):
+        lines = []
+        for _ in range(rng.randrange(1, 9)):
+            op = rng.choice(list(operands))
+            lines.append(f"{rng.choice(['T1', 'T2', 'T3'])}|{op}|{rng.choice(operands[op])}")
+        tr = parse(lines)
+        if not validate(tr).ok:
+            continue
+        accepted += 1
+        for engine_cls in (WcpEngine, HbEngine):
+            eng = engine_cls()
+            try:
+                for e in tr.events:
+                    eng.process(e)
+            except EngineError as exc:
+                pytest.fail(f"{engine_cls.detector} rejects a valid trace {lines}: {exc}")
+    assert accepted > 500
