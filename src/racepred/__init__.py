@@ -16,7 +16,6 @@ from .trace_model import (ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event,
                           conflicting, load_trace, parse_trace, validate)
 from .tracegen import (FIXTURE_NAMES, GenParams, fixture, fixtures,
                        gen_equality_trace, gen_random, iter_scaling)
-from .vclock import VectorTime
 from .wcp_engine import EngineError, WcpEngine
 
 __version__ = "0.1.0"

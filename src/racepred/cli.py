@@ -5,6 +5,13 @@ generate (fixtures, gadget, random traces), oracle (brute-force relations
 on small traces).  analyze exits 0 when no races were found, 1 when some
 were, 2 on errors; everything written to stdout is deterministic for a
 given input and configuration (timings go to stderr or the metrics file).
+
+analyze makes one pass 1 through run_detector with one engine: HbEngine
+for --detector hb, and WcpEngine for wcp and for both, where the hb
+detector race-checks the WCP engine's HB clock.  Without --pairs or
+--gc-history it streams and keeps no events; --pairs replays the
+buffered trace once per detector in pass 2.  An engine error names the
+event that caused it by index and STD line.
 """
 
 from __future__ import annotations
@@ -18,13 +25,9 @@ from . import tracegen
 from .hb_engine import HbEngine
 from .race_reporter import (AccessClocks, render_flags, resolve_pairs,
                             run_detector, summary_lines)
-from .race_reporter import Flag, check_access
-from .trace_model import (ParseError, Trace, TraceBuilder, iter_parse,
-                          load_trace, parse_trace, validate)
+from .trace_model import ParseError, TraceBuilder, iter_parse, parse_trace, validate
 from .vclock import render
 from .wcp_engine import EngineError, WcpEngine
-
-_ENGINES = {"wcp": WcpEngine, "hb": HbEngine}
 
 
 def _open_input(path: str):
@@ -33,69 +36,49 @@ def _open_input(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-def _detectors(name: str) -> list[str]:
-    return ["wcp", "hb"] if name == "both" else [name]
-
-
 def _analyze(args: argparse.Namespace, out) -> int:
-    detectors = _detectors(args.detector)
+    detectors = ["wcp", "hb"] if args.detector == "both" else [args.detector]
     buffered = args.pairs or args.gc_history
     if args.gc_history and args.input == "-":
         print("--gc-history needs a re-scannable input file", file=sys.stderr)
         return 2
 
     t0 = time.perf_counter()
-    trace: Trace | None = None
-    engines = {}
-    clocks = {}
-    flags = {}
+    # One pass-1 engine per run: under both, the hb detector race-checks the
+    # WCP engine's HB clock, which equals HbEngine's timestamp at every event.
+    engine = (HbEngine if args.detector == "hb" else WcpEngine)(gc_history=args.gc_history)
+    clocks = AccessClocks()
+    hb_clocks = AccessClocks() if args.detector == "both" else None
 
-    def dump_hook(det):
-        if not args.dump_timestamps:
-            return None
-        if det == "wcp":
-            def dump(e, c, eng):
-                t = e.tid
-                out.write(f"{e.idx}|{builder.thread_names[t]}|C={render(c)}"
-                          f"|P={render(eng.pred[t])}|H={render(eng.hbt[t])}\n")
-        else:
-            def dump(e, c, eng):
-                out.write(f"HB|{e.idx}|{builder.thread_names[e.tid]}|C={render(c)}\n")
-        return dump
+    def dump(e, c, eng):
+        t = e.tid
+        name = trace.thread_names[t]
+        if args.detector != "hb":
+            out.write(f"{e.idx}|{name}|C={render(c)}|P={render(eng.pred[t])}"
+                      f"|H={render(eng.hbt[t])}\n")
+        if args.detector != "wcp":
+            out.write(f"HB|{e.idx}|{name}|C={render(eng.hbt[t])}\n")
 
     try:
-        if buffered:
-            trace = load_trace(args.input) if args.input != "-" else parse_trace(sys.stdin)
-            builder = trace
-            for det in detectors:
-                eng = _ENGINES[det](gc_history=args.gc_history)
+        with _open_input(args.input) as f:
+            if buffered:
+                trace = parse_trace(f)
                 if args.gc_history:
-                    last = {}
-                    for e in trace.events:
-                        last[e.tid] = e.idx
-                    eng.preregister(trace.n_threads, last)
-                clocks[det] = AccessClocks()
-                flags[det] = run_detector(trace.events, eng, clocks[det], dump_hook(det))
-                engines[det] = eng
-        else:
-            # streaming: one pass, events are not retained
-            builder = TraceBuilder()
-            hooks = {}
-            for det in detectors:
-                engines[det] = _ENGINES[det]()
-                clocks[det] = AccessClocks()
-                flags[det] = []
-                hooks[det] = dump_hook(det)
-            with _open_input(args.input) as f:
-                for e in iter_parse(f, builder):
-                    for det in detectors:
-                        c = engines[det].process(e)
-                        if e.kind <= 1 and check_access(clocks[det], e.kind, e.op, c):
-                            flags[det].append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
-                        if hooks[det] is not None:
-                            hooks[det](e, c, engines[det])
-            trace = builder.build()
-    except (ParseError, EngineError, OSError) as exc:
+                    engine.preregister(trace.n_threads, {e.tid: e.idx for e in trace.events})
+                events = trace.events
+            else:
+                # streaming: the builder keeps no events, and the trace built
+                # from it shares its name tables, which fill in as lines parse
+                builder = TraceBuilder()
+                trace = builder.build()
+                events = iter_parse(f, builder)
+            run_detector(events, engine, clocks, dump if args.dump_timestamps else None,
+                         hb_clocks)
+    except EngineError as exc:
+        e = exc.event
+        print(f"error: event {e.idx} ({trace.event_line(e)}): {exc}", file=sys.stderr)
+        return 2
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
@@ -105,11 +88,12 @@ def _analyze(args: argparse.Namespace, out) -> int:
     if args.pairs and "wcp" in detectors:
         out.write("# note|wcp|only the first reported pair carries the soundness "
                   "guarantee; an unordered pair can also witness a predictable deadlock\n")
-    for det in detectors:
-        det_flags = flags[det]
+    counts = (engine.events_processed, trace.n_threads, trace.n_locks, trace.n_vars)
+    for det, det_clocks in zip(detectors, (clocks, hb_clocks)):
+        det_flags = det_clocks.flags
         pair_count = None
         if args.pairs:
-            pairs, notes = resolve_pairs(trace, det_flags, _ENGINES[det],
+            pairs, notes = resolve_pairs(trace, det_flags, HbEngine if det == "hb" else WcpEngine,
                                          pair_budget=args.pair_budget)
             for note in notes:
                 out.write(f"# note|{det}|{note}\n")
@@ -121,8 +105,9 @@ def _analyze(args: argparse.Namespace, out) -> int:
             for line in render_flags(trace, det_flags, det):
                 out.write(line + "\n")
             any_race = any_race or bool(det_flags)
-        counts = (trace.n_events, trace.n_threads, trace.n_locks, trace.n_vars)
-        block = summary_lines(det, counts, len(det_flags), engines[det], pair_count)
+        # HB keeps no section log, so it has no queue load
+        mql = engine.max_queue_load if det == "wcp" else 0
+        block = summary_lines(det, counts, len(det_flags), mql, pair_count)
         for line in block:
             out.write(line + "\n")
         metrics_lines += block
@@ -218,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--gc-history", action="store_true",
                    help="trim drained section logs (needs a re-scannable file)")
     a.add_argument("--metrics", metavar="FILE", default=None)
-    a.add_argument("--format", choices=["std"], default="std")
 
     v = sub.add_parser("validate", help="check lock semantics and nesting")
     v.add_argument("input")

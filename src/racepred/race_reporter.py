@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 
 from .trace_model import Event, Trace, READ, WRITE
 from .vclock import join_into, leq
+from .wcp_engine import EngineError
 
 
 class MemoryBudgetExceeded(Warning):
@@ -34,14 +35,17 @@ class MemoryBudgetExceeded(Warning):
 
 @dataclass
 class AccessClocks:
-    """Per-variable joins of access timestamps (reads and writes apart)."""
+    """Per-variable joins of access timestamps (reads and writes apart),
+    and the flags that run_detector raised against them."""
 
     reads: dict[int, list[int]]
     writes: dict[int, list[int]]
+    flags: list[Flag]
 
     def __init__(self) -> None:
         self.reads = {}
         self.writes = {}
+        self.flags = []
 
 
 @dataclass(slots=True)
@@ -93,17 +97,29 @@ def check_access(clocks: AccessClocks, kind: int, x: int, c) -> bool:
 
 
 def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = None,
-                 dump=None) -> list[Flag]:
-    """Feed events through an engine with inline race checking; returns flags
-    in increasing index order.  dump, if given, is called with
+                 dump=None, hb: AccessClocks | None = None) -> list[Flag]:
+    """Pass 1: feed events, in trace order, through one engine and race-check
+    each access's timestamp against clocks.  Returns clocks.flags, in
+    increasing index order.
+
+    hb, given with a WcpEngine, race-checks each access's HB time
+    engine.hbt[tid] against hb in the same pass, into hb.flags: the HB
+    detector's flags without an HB engine.  dump, if given, is called with
     (event, C, engine) after each event (timestamp dumps)."""
     if clocks is None:
         clocks = AccessClocks()
-    flags: list[Flag] = []
+    flags = clocks.flags
     for e in events:
-        c = engine.process(e)
-        if e.kind <= WRITE and check_access(clocks, e.kind, e.op, c):
-            flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
+        try:
+            c = engine.process(e)
+        except EngineError as exc:
+            exc.event = e
+            raise
+        if e.kind <= WRITE:
+            if check_access(clocks, e.kind, e.op, c):
+                flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
+            if hb is not None and check_access(hb, e.kind, e.op, engine.hbt[e.tid]):
+                hb.flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
         if dump is not None:
             dump(e, c, engine)
     return flags
@@ -188,7 +204,7 @@ def render_flags(trace: Trace, flags: list[Flag], detector: str) -> list[str]:
 
 
 def summary_lines(detector: str, trace_counts: tuple[int, int, int, int],
-                  flags: int, engine, pairs: int | None = None) -> list[str]:
+                  flags: int, max_queue_load: int, pairs: int | None = None) -> list[str]:
     n, t, l, v = trace_counts
     lines = [
         f"detector={detector}",
@@ -200,8 +216,7 @@ def summary_lines(detector: str, trace_counts: tuple[int, int, int, int],
     ]
     if pairs is not None:
         lines.append(f"pairs={pairs}")
-    mql = engine.max_queue_load
-    pct = (100.0 * mql / n) if n else 0.0
-    lines.append(f"max_queue_load={mql}")
+    pct = (100.0 * max_queue_load / n) if n else 0.0
+    lines.append(f"max_queue_load={max_queue_load}")
     lines.append(f"max_queue_load_pct={pct:.4f}")
     return lines

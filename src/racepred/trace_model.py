@@ -24,7 +24,6 @@ READ, WRITE, ACQUIRE, RELEASE, FORK, JOIN = range(6)
 
 KIND_TOKEN = {READ: "r", WRITE: "w", ACQUIRE: "acq", RELEASE: "rel", FORK: "fork", JOIN: "join"}
 TOKEN_KIND = {tok: kind for kind, tok in KIND_TOKEN.items()}
-KIND_NAME = {READ: "Read", WRITE: "Write", ACQUIRE: "Acquire", RELEASE: "Release", FORK: "Fork", JOIN: "Join"}
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.:$-]+\Z")
 
@@ -49,9 +48,6 @@ class Event:
 
     def loc_or_default(self) -> str:
         return self.loc if self.loc is not None else f"idx:{self.idx}"
-
-    def is_access(self) -> bool:
-        return self.kind <= WRITE
 
 
 class Trace:
@@ -101,10 +97,12 @@ class Trace:
 
 
 class TraceBuilder:
-    """Accumulates events, interning names as they appear."""
+    """Interns names as they appear and numbers events; add() also keeps
+    each event for build(), parse_line() does not."""
 
     def __init__(self) -> None:
         self.events: list[Event] = []
+        self.n_events = 0
         self.thread_names: list[str] = []
         self.lock_names: list[str] = []
         self.var_names: list[str] = []
@@ -136,7 +134,8 @@ class TraceBuilder:
             self.var_names.append(name)
         return i
 
-    def add(self, tid_name: str, kind: int, operand_name: str, loc: str | None = None) -> Event:
+    def event(self, tid_name: str, kind: int, operand_name: str, loc: str | None = None) -> Event:
+        """The next event, with its names interned; not kept."""
         t = self.intern_thread(tid_name)
         if kind <= WRITE:
             op = self.intern_var(operand_name)
@@ -144,12 +143,18 @@ class TraceBuilder:
             op = self.intern_lock(operand_name)
         else:
             op = self.intern_thread(operand_name)
-        e = Event(len(self.events), t, kind, op, loc)
+        e = Event(self.n_events, t, kind, op, loc)
+        self.n_events += 1
+        return e
+
+    def add(self, tid_name: str, kind: int, operand_name: str, loc: str | None = None) -> Event:
+        e = self.event(tid_name, kind, operand_name, loc)
         self.events.append(e)
         return e
 
     def parse_line(self, line: str, line_no: int) -> Event | None:
-        """Parse one input line; returns None for comments/blank lines."""
+        """Parse one input line into an event, not kept; returns None for
+        comments/blank lines."""
         line = line.rstrip("\n")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -168,7 +173,7 @@ class TraceBuilder:
             raise ParseError(line_no, f"bad thread id {tid_name!r}")
         if not _ID_RE.match(operand):
             raise ParseError(line_no, f"bad operand id {operand!r}")
-        return self.add(tid_name, kind, operand, loc)
+        return self.event(tid_name, kind, operand, loc)
 
     def build(self) -> Trace:
         return Trace(self.events, self.thread_names, self.lock_names, self.var_names)
@@ -176,13 +181,13 @@ class TraceBuilder:
 
 def parse_trace(lines: Iterable[str]) -> Trace:
     b = TraceBuilder()
-    for line_no, line in enumerate(lines, 1):
-        b.parse_line(line, line_no)
+    b.events.extend(iter_parse(lines, b))
     return b.build()
 
 
 def iter_parse(lines: Iterable[str], builder: TraceBuilder) -> Iterator[Event]:
-    """Streaming parse: yields events one by one while growing builder's tables."""
+    """Streaming parse: yields events one by one while growing builder's
+    tables; neither keeps the events."""
     for line_no, line in enumerate(lines, 1):
         e = builder.parse_line(line, line_no)
         if e is not None:

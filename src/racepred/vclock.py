@@ -2,17 +2,16 @@
 
 A vector time maps dense thread indices to non-negative counters.  Widths
 grow as threads appear, so every operation treats absent components as 0
-(the bottom element extends silently).  Equality is defined modulo
-trailing zeros for the same reason.
+(the bottom element extends silently), and two vector times are equal
+when they agree after trim() drops trailing zeros.
 
-The engines keep their clocks as plain lists of ints and use the
-sequence-level helpers below on the hot path; :class:`VectorTime` wraps
-the same operations as an immutable value for public APIs and tests.
+The engines keep their clocks as plain lists of ints (tuples for
+snapshots) and use the sequence-level helpers below on the hot path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 BOTTOM: tuple[int, ...] = ()
 
@@ -59,17 +58,6 @@ def join_into(dst: list[int], src: Sequence[int]) -> None:
             dst[i] = v
 
 
-def with_component(v: Sequence[int], u: int, n: int) -> tuple[int, ...]:
-    """Copy of v with component u set to n (widened with zeros if needed)."""
-    if n < 0:
-        raise ValueError("vector time components must be non-negative")
-    out = list(v)
-    if u >= len(out):
-        out.extend([0] * (u + 1 - len(out)))
-    out[u] = n
-    return tuple(out)
-
-
 def get(v: Sequence[int], u: int) -> int:
     return v[u] if 0 <= u < len(v) else 0
 
@@ -85,46 +73,3 @@ def trim(v: Sequence[int]) -> tuple[int, ...]:
 def render(v: Sequence[int]) -> str:
     """Debug rendering used in reports and dumps: ``[n0,n1,...]``."""
     return "[" + ",".join(str(x) for x in v) + "]"
-
-
-class VectorTime:
-    """Immutable vector time; (VectorTime, join, bottom) is a join-semilattice."""
-
-    __slots__ = ("_v",)
-
-    def __init__(self, components: Iterable[int] = ()):
-        v = tuple(components)
-        if any(x < 0 for x in v):
-            raise ValueError("vector time components must be non-negative")
-        self._v = v
-
-    @classmethod
-    def bottom(cls) -> "VectorTime":
-        return cls()
-
-    @property
-    def components(self) -> tuple[int, ...]:
-        return self._v
-
-    def get(self, u: int) -> int:
-        return get(self._v, u)
-
-    def leq(self, other: "VectorTime") -> bool:
-        return leq(self._v, other._v)
-
-    def join(self, other: "VectorTime") -> "VectorTime":
-        return VectorTime(join(self._v, other._v))
-
-    def with_component(self, u: int, n: int) -> "VectorTime":
-        return VectorTime(with_component(self._v, u, n))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorTime):
-            return NotImplemented
-        return trim(self._v) == trim(other._v)
-
-    def __hash__(self) -> int:
-        return hash(trim(self._v))
-
-    def __repr__(self) -> str:
-        return render(self._v)

@@ -46,6 +46,12 @@ the join of all foreign contributions.
 
 Cross-thread orderings carry the releaser's full HB time, never just its
 own components, so everything HB-below the ordering's source arrives too.
+
+hbt[t] is therefore the HB timestamp of t's latest event, equal to
+HbEngine's at every event, so one pass of this engine serves both
+detectors (``run_detector``'s hb argument).  HbEngine subclasses this
+engine and shares its thread and lock state, the lock-discipline checks
+(_enter/_leave), fork/join and process.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ from .vclock import join_into, leq
 
 
 class EngineError(Exception):
-    """Internal consistency violation (malformed input or broken invariant)."""
+    """Internal consistency violation (malformed input or broken invariant).
+    run_detector sets its event attribute to the event that raised it."""
 
 
 class WcpEngine:
@@ -147,9 +154,9 @@ class WcpEngine:
         c[t] = self.local[t]
         return tuple(c)
 
-    # -- operations (one per event kind) -------------------------------
-
-    def acquire(self, t: int, l: int) -> tuple[int, ...]:
+    def _enter(self, t: int, l: int) -> bool:
+        """Lock discipline of an acquire, shared by both detectors.  Returns
+        False for a flattened re-entrant acquire; otherwise t now holds l."""
         self._ensure_thread(t)
         self._ensure_lock(l)
         held = self.held[t]
@@ -158,10 +165,40 @@ class WcpEngine:
             # re-entrant re-acquisition: flattened, not a logical acquire
             held[l] = d + 1
             self.reentrant_flattened += 1
-            return self._snap(t)
+            return False
         if self.holder[l] != -1:
             raise EngineError(f"acquire of lock {l} already held by thread {self.holder[l]}")
         self._tick(t)
+        self.holder[l] = t
+        held[l] = 1
+        return True
+
+    def _leave(self, t: int, l: int) -> list | None:
+        """Lock discipline of a release, shared by both detectors.  Returns
+        None for a flattened inner release; otherwise t's innermost section
+        frame, popped, and l is free."""
+        self._ensure_thread(t)
+        held = self.held[t]
+        d = held.get(l, 0)
+        if d == 0:
+            raise EngineError(f"release of lock {l} not held by thread {t}")
+        if d > 1:
+            held[l] = d - 1
+            return None
+        frames = self.frames[t]
+        if not frames or frames[-1][0] != l:
+            raise EngineError(f"release of lock {l} does not match innermost open section")
+        self._tick(t)
+        self.holder[l] = -1
+        del held[l]
+        self.pending[t] = True
+        return frames.pop()
+
+    # -- operations (one per event kind) -------------------------------
+
+    def acquire(self, t: int, l: int) -> tuple[int, ...]:
+        if not self._enter(t, l):
+            return self._snap(t)
         hl = self.lock_hb[l]
         if hl is not None:
             join_into(self.hbt[t], hl)
@@ -177,25 +214,13 @@ class WcpEngine:
         if self.queue_load > self.max_queue_load:
             self.max_queue_load = self.queue_load
         self.open_entry[l] = entry_idx
-        self.holder[l] = t
-        held[l] = 1
         self.frames[t].append([l, entry_idx, set(), set()])
         return snap
 
     def release(self, t: int, l: int) -> tuple[int, ...]:
-        self._ensure_thread(t)
-        held = self.held[t]
-        d = held.get(l, 0)
-        if d == 0:
-            raise EngineError(f"release of lock {l} not held by thread {t}")
-        if d > 1:
-            held[l] = d - 1
+        frame = self._leave(t, l)
+        if frame is None:
             return self._snap(t)
-        frames = self.frames[t]
-        if not frames or frames[-1][0] != l:
-            raise EngineError(f"release of lock {l} does not match innermost open section")
-        self._tick(t)
-
         # Drain this thread's cursor over the lock's section log.
         cur = self.cursors[l]
         if len(cur) <= t:
@@ -233,7 +258,7 @@ class WcpEngine:
             join_into(pred_t, last)
         cur[t] = i
 
-        _, entry_idx, rset, wset = frames.pop()
+        _, entry_idx, rset, wset = frame
         h_snap = tuple(self.hbt[t])
         for x in rset:
             self._contribute(self.read_rel_times, l, x, t, h_snap)
@@ -243,14 +268,12 @@ class WcpEngine:
         self.lock_pred[l] = tuple(pred_t)
         log_l[entry_idx - base][2] = h_snap
         self.open_entry[l] = -1
-        self.holder[l] = -1
-        del held[l]
+        frames = self.frames[t]
         if frames:
             # nested accesses belong to the enclosing section too
             outer = frames[-1]
             outer[2] |= rset
             outer[3] |= wset
-        self.pending[t] = True
         if self.gc_history:
             self._maybe_trim(l)
         return self._snap(t)
@@ -356,9 +379,6 @@ class WcpEngine:
         if self.invariant_checks:
             self._check_invariants(e.tid)
         return snap
-
-    def current_time(self, t: int) -> tuple[int, ...]:
-        return self._snap(t)
 
     def _check_epoch(self, t: int, acq, ok: bool) -> None:
         if leq(acq, self._snap(t)) != ok:

@@ -1,9 +1,11 @@
 import io
 
 import pytest
+from test_wcp_engine import gen_forky
 
+from racepred import wcp_engine
 from racepred.cli import main
-from racepred.tracegen import fixture
+from racepred.tracegen import GenParams, fixture, gen_random
 
 
 @pytest.fixture
@@ -54,6 +56,15 @@ def test_analyze_parse_error(capsys, tmp_path):
     p.write_text("T1|acquire|l\n")
     code, _, err = run_cli(capsys, "analyze", str(p))
     assert code == 2 and "unknown op" in err
+
+
+def test_analyze_engine_error_names_the_event(capsys, tmp_path):
+    p = tmp_path / "bad.std"
+    p.write_text("T1|acq|lockA\n# comment\nT2|w|x|Main.java:3\nT2|acq|lockA\n")
+    for argv in ([], ["--pairs"], ["--detector", "both"], ["--detector", "hb", "--gc-history"]):
+        code, out, err = run_cli(capsys, "analyze", *argv, str(p))
+        assert code == 2 and out == ""
+        assert err == "error: event 2 (T2|acq|lockA): acquire of lock 0 already held by thread 0\n"
 
 
 def test_analyze_metrics_file(capsys, tmp_path, fig_file):
@@ -138,3 +149,56 @@ def test_determinism_byte_identical(capsys, fig_file):
     _, out1, _ = run_cli(capsys, "analyze", "--detector", "both", "--pairs", path)
     _, out2, _ = run_cli(capsys, "analyze", "--detector", "both", "--pairs", path)
     assert out1 == out2
+
+
+def random_and_forky_traces(tmp_path):
+    traces = [gen_random(GenParams(threads=2 + seed % 6, locks=1 + seed % 3, vars=1 + seed % 4,
+                                   events=30 + seed * 5, p_lock=0.4, seed=700 + seed))
+              for seed in range(12)]
+    traces += [gen_forky(seed) for seed in range(12)]
+    paths = []
+    for i, tr in enumerate(traces):
+        p = tmp_path / f"t{i}.std"
+        p.write_text(tr.serialize())
+        paths.append(str(p))
+    return paths
+
+
+def test_both_equals_wcp_then_hb(capsys, tmp_path):
+    # one engine pass serves both detectors: each block of --detector both
+    # is byte for byte the output of that detector alone
+    for path in random_and_forky_traces(tmp_path):
+        for mode in ([], ["--pairs"]):
+            outs = {det: run_cli(capsys, "analyze", "--detector", det, *mode, path)
+                    for det in ("wcp", "hb", "both")}
+            assert outs["both"][1] == outs["wcp"][1] + outs["hb"][1], (path, mode)
+            assert outs["both"][0] == max(outs["wcp"][0], outs["hb"][0])
+
+
+def test_both_builds_one_pass_one_engine(capsys, monkeypatch, fig_file):
+    built = []
+    init = wcp_engine.WcpEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(wcp_engine.WcpEngine, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, "analyze", "--detector", "both", fig_file("fig1b"))
+    assert built == ["WcpEngine"]
+    assert "FLAG|wcp|idx=7" in out and "detector=hb" in out
+    built.clear()
+    run_cli(capsys, "analyze", "--detector", "hb", fig_file("fig1b"))
+    assert built == ["HbEngine"]
+
+
+def test_both_dump_order_does_not_depend_on_buffering(capsys, tmp_path):
+    # per event, the WCP line and then its HB line, streaming or buffered;
+    # trimming may only lower the queue metric
+    strip = lambda text: [l for l in text.splitlines() if not l.startswith("max_queue_load")]
+    for path in random_and_forky_traces(tmp_path)[::4]:
+        _, streamed, _ = run_cli(capsys, "analyze", "--detector", "both", "--dump-timestamps", path)
+        _, buffered, _ = run_cli(capsys, "analyze", "--detector", "both", "--dump-timestamps",
+                                 "--gc-history", path)
+        assert strip(buffered) == strip(streamed)
+        lines = streamed.splitlines()
+        assert lines[0].startswith("0|") and lines[1].startswith("HB|0|")

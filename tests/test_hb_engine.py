@@ -1,11 +1,14 @@
+import random
+
 import pytest
+from test_wcp_engine import gen_forky
 
 from racepred import oracle
 from racepred.hb_engine import HbEngine
 from racepred.trace_model import parse_trace
 from racepred.tracegen import GenParams, fixture, fixtures, gen_random
 from racepred.vclock import leq
-from racepred.wcp_engine import EngineError
+from racepred.wcp_engine import EngineError, WcpEngine
 
 
 def run(tr, **kw):
@@ -84,3 +87,56 @@ def test_differential_with_fork_join():
 def test_hb_timestamps_monotone_per_thread():
     for name, tr in fixtures().items():
         run(tr, invariant_checks=True)
+
+
+def wcp_hb_clocks(tr):
+    """The WCP engine's HB clock hbt[t] after each event, as --detector both
+    race-checks it."""
+    eng = WcpEngine(record=True)
+    for e in tr.events:
+        eng.process(e)
+    return [h for _, _, _, h in eng.records]
+
+
+def test_wcp_engine_hb_clock_is_the_hb_timestamp(corpus, corpus_hb_stamps):
+    traces, _ = corpus
+    stamps, _ = corpus_hb_stamps
+    for tr, hs in zip(traces, stamps):
+        assert wcp_hb_clocks(tr) == hs
+    extra = ([gen_forky(seed) for seed in range(300)]
+             + [gen_random(GenParams(threads=32, locks=8, vars=16, events=400, p_lock=0.4,
+                                     max_nesting=3, seed=seed)) for seed in range(20)]
+             + [gen_random(GenParams(threads=4, locks=2, vars=3, events=60, p_lock=0.5,
+                                     seed=seed), close_sections=False) for seed in range(50)]
+             + list(fixtures().values()))
+    for tr in extra:
+        assert wcp_hb_clocks(tr) == run(tr, invariant_checks=True)[1]
+
+
+def test_malformed_traces_fail_alike_in_both_engines():
+    # seeded fuzz over short traces of every event kind, most of them
+    # malformed: both engines raise the same error, warn alike, and agree
+    # on the HB clock up to the error
+    rng = random.Random(17)
+    operands = {"acq": ["l", "m"], "rel": ["l", "m"], "r": ["x"], "w": ["x"],
+                "fork": ["T1", "T2", "T3"], "join": ["T1", "T2", "T3"]}
+    raised = 0
+    for _ in range(3000):
+        lines = []
+        for _ in range(rng.randrange(1, 10)):
+            op = rng.choice(list(operands))
+            lines.append(f"{rng.choice(['T1', 'T2', 'T3'])}|{op}|{rng.choice(operands[op])}")
+        tr = parse_trace(lines)
+        outcomes = []
+        for engine_cls in (WcpEngine, HbEngine):
+            eng = engine_cls(record=True)
+            error = None
+            try:
+                for e in tr.events:
+                    eng.process(e)
+            except EngineError as exc:
+                error = str(exc)
+            outcomes.append((error, eng.warnings, [h for _, _, _, h in eng.records]))
+        assert outcomes[0] == outcomes[1], lines
+        raised += outcomes[0][0] is not None
+    assert raised > 1000

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from racepred.hb_engine import HbEngine
 from racepred.trace_model import (ACQUIRE, READ, WRITE, Event, ParseError,
-                                  TraceBuilder, conflicting, parse_trace,
-                                  validate)
-from racepred.tracegen import GenParams, gen_random
+                                  TraceBuilder, conflicting, iter_parse,
+                                  parse_trace, validate)
+from racepred.tracegen import GenParams, fixture, gen_random
 from racepred.wcp_engine import EngineError, WcpEngine
 
 
@@ -50,6 +51,21 @@ def test_parse_rejects_bad_ids():
 def test_parse_skips_comments_and_blanks():
     tr = parse(["# header", "", "T1|w|x", "   ", "# done"])
     assert tr.n_events == 1
+
+
+def test_iter_parse_keeps_no_events():
+    # streaming analyze relies on this: memory must not grow with the trace
+    def live_events():
+        gc.collect()
+        return sum(type(o) is Event for o in gc.get_objects())
+
+    lines = ["# header", ""] + fixture("fig3").serialize().splitlines() * 40
+    b = TraceBuilder()
+    before = live_events()
+    idxs = [e.idx for e in iter_parse(lines, b)]
+    assert live_events() == before
+    assert idxs == list(range(len(lines) - 2))
+    assert b.thread_names == ["t1", "t2", "t3"]
 
 
 def test_loc_may_contain_bars():

@@ -1,9 +1,7 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racepred.vclock import (BOTTOM, VectorTime, get, join, join_into, leq,
-                             render, trim, with_component)
+from racepred.vclock import BOTTOM, join, join_into, leq, render, trim
 
 vectors = st.lists(st.integers(min_value=0, max_value=6), max_size=6).map(tuple)
 
@@ -36,17 +34,6 @@ def test_join_identity_and_idempotence():
     v = (3, 0, 2)
     assert trim(join(v, BOTTOM)) == trim(v)
     assert join(v, v) == v
-
-
-def test_with_component():
-    assert with_component(BOTTOM, 0, 1) == (1,)
-    assert with_component((3, 4), 1, 2) == (3, 2)
-    assert get(with_component((3, 4), 5, 7), 5) == 7
-
-
-def test_with_component_rejects_negative():
-    with pytest.raises(ValueError):
-        with_component((1,), 0, -1)
 
 
 def test_join_into_grows():
@@ -84,17 +71,3 @@ def test_leq_partial_order(a, b, c):
         assert leq(a, c)
     if leq(a, b) and leq(b, a):
         assert trim(a) == trim(b)
-
-
-@given(vectors, vectors)
-def test_vectortime_wrapper_agrees(a, b):
-    va, vb = VectorTime(a), VectorTime(b)
-    assert va.leq(vb) == leq(a, b)
-    assert va.join(vb).components == join(a, b)
-    assert (va == vb) == (trim(a) == trim(b))
-
-
-def test_vectortime_equality_modulo_trailing_zeros():
-    assert VectorTime((1, 0)) == VectorTime((1, 0, 0, 0))
-    assert hash(VectorTime((1, 0))) == hash(VectorTime((1,)))
-    assert VectorTime((1, 2)) != VectorTime((1,))
