@@ -11,7 +11,8 @@ for --detector hb, and WcpEngine for wcp and for both, where the hb
 detector race-checks the WCP engine's HB clock.  Without --pairs or
 --gc-history it streams and keeps no events; --pairs replays the
 buffered trace once per detector in pass 2.  An engine error names the
-event that caused it by index and STD line.
+event that caused it by index and STD line; engine errors and warnings
+name threads and locks as the trace does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .race_reporter import (AccessClocks, render_flags, resolve_pairs,
                             run_detector, summary_lines)
 from .trace_model import ParseError, TraceBuilder, iter_parse, parse_trace, validate
 from .vclock import render
-from .wcp_engine import EngineError, WcpEngine
+from .wcp_engine import EngineError, WcpEngine, named
 
 
 def _open_input(path: str):
@@ -59,6 +60,7 @@ def _analyze(args: argparse.Namespace, out) -> int:
         if args.detector != "wcp":
             out.write(f"HB|{e.idx}|{name}|C={render(eng.hbt[t])}\n")
 
+    error = ""
     try:
         with _open_input(args.input) as f:
             if buffered:
@@ -76,10 +78,13 @@ def _analyze(args: argparse.Namespace, out) -> int:
                          hb_clocks)
     except EngineError as exc:
         e = exc.event
-        print(f"error: event {e.idx} ({trace.event_line(e)}): {exc}", file=sys.stderr)
-        return 2
+        error = f"event {e.idx} ({trace.event_line(e)}): {named(str(exc), trace)}"
     except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        error = str(exc)
+    for warning in engine.warnings:     # only events warn, so trace is bound
+        print(f"warning: {named(warning, trace)}", file=sys.stderr)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
 

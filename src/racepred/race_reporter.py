@@ -1,11 +1,14 @@
 """Race checking and reporting.
 
-Pass 1 keeps, per variable, the join of the timestamps of all reads and
-all writes seen so far.  A read is flagged when the write join is not
-below its own timestamp; a write is additionally checked against the
-read join.  Earlier same-thread accesses are always below the current
-timestamp, so only cross-thread conflicts can flag.  A flag names only
-the second event of a racing pair.
+Pass 1 keeps, per variable, a read history and a write history.  A read
+is flagged when the write history is not ordered before its timestamp;
+a write is also checked against the read history.  Earlier same-thread
+accesses are always below the current timestamp, so only cross-thread
+conflicts can flag.  A flag names only the second event of a racing
+pair.  As in FastTrack, a history is an epoch (u, C), the last access's
+thread and timestamp, while its accesses are totally ordered; since both
+engines' timestamps are epochs, "ordered before c" is then C[u] <= c[u].
+Otherwise it is their join, compared with leq.
 
 Pass 2 (optional) replays the trace through a fresh engine, retaining
 every access to a flagged variable, and at each flagged event emits one
@@ -35,11 +38,11 @@ class MemoryBudgetExceeded(Warning):
 
 @dataclass
 class AccessClocks:
-    """Per-variable joins of access timestamps (reads and writes apart),
-    and the flags that run_detector raised against them."""
+    """Per-variable read and write histories, epochs or joins (see
+    check_access), and the flags that run_detector raised against them."""
 
-    reads: dict[int, list[int]]
-    writes: dict[int, list[int]]
+    reads: dict[int, tuple | list[int]]
+    writes: dict[int, tuple | list[int]]
     flags: list[Flag]
 
     def __init__(self) -> None:
@@ -74,25 +77,49 @@ class RacePair:
                 f"|mindist={self.min_distance}|ex={i1},{i2}|sound={1 if self.sound else 0}")
 
 
-def check_access(clocks: AccessClocks, kind: int, x: int, c) -> bool:
-    """Race-check one access with timestamp c, then fold c into the joins.
-    Returns True when the access races with some earlier conflicting one."""
+def _ordered(h, c) -> bool:
+    """History h is ordered before timestamp c: the epoch test, or leq."""
+    if type(h) is tuple:
+        return h[0] < len(c) and h[1][h[0]] <= c[h[0]]
+    return leq(h, c)
+
+
+def _joined(h, c) -> list[int]:
+    """History h joined with c, as a list (h itself when it is one)."""
+    h = list(h[1]) if type(h) is tuple else h
+    join_into(h, c)
+    return h
+
+
+def check_access(clocks: AccessClocks, kind: int, x: int, ep) -> bool:
+    """Race-check one access to x, then fold it into x's histories.
+    Returns True when the access races with some earlier conflicting one.
+
+    ep = (t, c): the accessing thread and the access's timestamp.  A read
+    replaces a read epoch ordered before it; a write that does not flag is
+    ordered after every earlier access, so its epoch replaces the write
+    history and the reads are dropped; anything else folds into a join.  A
+    history keeps the epoch itself, with a caller's list c copied to a
+    tuple, so c may change after the call."""
+    t, c = ep
+    if type(c) is not tuple:
+        c = tuple(c)
+        ep = (t, c)
+    w = clocks.writes.get(x)
+    r = clocks.reads.get(x)
+    flagged = w is not None and not _ordered(w, c)
     if kind == READ:
-        w = clocks.writes.get(x)
-        flagged = w is not None and not leq(w, c)
-        r = clocks.reads.get(x)
-        if r is None:
-            clocks.reads[x] = list(c)
+        if r is None or type(r) is tuple and _ordered(r, c):
+            clocks.reads[x] = ep
         else:
-            join_into(r, c)
+            clocks.reads[x] = _joined(r, c)
+        return flagged
+    flagged = flagged or (r is not None and not _ordered(r, c))
+    if not flagged:
+        clocks.writes[x] = ep
+        clocks.reads.pop(x, None)
     else:
-        w = clocks.writes.get(x)
-        r = clocks.reads.get(x)
-        flagged = (w is not None and not leq(w, c)) or (r is not None and not leq(r, c))
-        if w is None:
-            clocks.writes[x] = list(c)
-        else:
-            join_into(w, c)
+        clocks.writes[x] = list(c) if w is None else _joined(w, c)
     return flagged
 
 
@@ -116,9 +143,9 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = 
             exc.event = e
             raise
         if e.kind <= WRITE:
-            if check_access(clocks, e.kind, e.op, c):
+            if check_access(clocks, e.kind, e.op, (e.tid, c)):
                 flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
-            if hb is not None and check_access(hb, e.kind, e.op, engine.hbt[e.tid]):
+            if hb is not None and check_access(hb, e.kind, e.op, (e.tid, engine.hbt[e.tid])):
                 hb.flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
         if dump is not None:
             dump(e, c, engine)

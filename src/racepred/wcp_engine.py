@@ -56,13 +56,24 @@ engine and shares its thread and lock state, the lock-discipline checks
 
 from __future__ import annotations
 
+import re
+
 from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event
 from .vclock import join_into, leq
 
 
 class EngineError(Exception):
     """Internal consistency violation (malformed input or broken invariant).
-    run_detector sets its event attribute to the event that raised it."""
+    run_detector sets its event attribute to the event that raised it.
+    Messages, like warnings, give threads and locks as 'thread N' and
+    'lock N' by interned id; named() puts the trace's names there."""
+
+
+def named(msg: str, trace) -> str:
+    """An engine message with its 'thread N' and 'lock N' ids replaced by
+    the names that trace interned."""
+    names = {"thread": trace.thread_names, "lock": trace.lock_names}
+    return re.sub(r"\b(thread|lock) (\d+)\b", lambda m: f"{m[1]} {names[m[1]][int(m[2])]}", msg)
 
 
 class WcpEngine:

@@ -165,7 +165,7 @@ def test_criterion_5_lemma_invariants(corpus, corpus_oracle):
     for i, (k, t, op) in enumerate(iter_scaling(12_000)):
         c = eng.process(Event(i, t, k, op))
         if k <= 1:
-            check_access(clocks, k, op, c)
+            check_access(clocks, k, op, (t, c))
 
     traces, _ = corpus
     rels, _ = corpus_oracle
@@ -195,9 +195,9 @@ def test_criterion_6_linear_scaling():
         t0 = time.perf_counter()
         for k, t, op in iter_scaling(n, threads=8, locks=32):
             if k == 0:
-                check_access(clocks, 0, op, read(t, op))
+                check_access(clocks, 0, op, (t, read(t, op)))
             elif k == 1:
-                check_access(clocks, 1, op, write(t, op))
+                check_access(clocks, 1, op, (t, write(t, op)))
             elif k == 2:
                 acq(t, op)
             else:

@@ -64,7 +64,38 @@ def test_analyze_engine_error_names_the_event(capsys, tmp_path):
     for argv in ([], ["--pairs"], ["--detector", "both"], ["--detector", "hb", "--gc-history"]):
         code, out, err = run_cli(capsys, "analyze", *argv, str(p))
         assert code == 2 and out == ""
-        assert err == "error: event 2 (T2|acq|lockA): acquire of lock 0 already held by thread 0\n"
+        assert err == "error: event 2 (T2|acq|lockA): acquire of lock lockA already held by thread T1\n"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["T1|acq|m", "T2|rel|m"], "error: event 1 (T2|rel|m): release of lock m not held by thread T2"),
+    (["T1|fork|T2", "T3|fork|T2"], "error: event 1 (T3|fork|T2): fork of already-active thread T2"),
+    (["T1|acq|l", "T1|acq|m", "T1|rel|l"],
+     "error: event 2 (T1|rel|l): release of lock l does not match innermost open section"),
+])
+def test_analyze_engine_errors_use_trace_names(capsys, tmp_path, lines, message):
+    p = tmp_path / "bad.std"
+    p.write_text("\n".join(lines) + "\n")
+    for argv in ([], ["--detector", "hb"], ["--detector", "both", "--pairs"]):
+        code, out, err = run_cli(capsys, "analyze", *argv, str(p))
+        assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_analyze_prints_engine_warnings_by_name(capsys, tmp_path):
+    p = tmp_path / "warn.std"
+    p.write_text("T1|w|x\nT1|join|T9\nT2|w|x\n")
+    for argv in ([], ["--detector", "hb"], ["--detector", "both"], ["--pairs"]):
+        code, out, err = run_cli(capsys, "analyze", *argv, str(p))
+        # one pass-1 engine, so one warning; stdout is the report alone
+        assert code == 1 and "threads=3" in out and "warning" not in out
+        assert err.splitlines()[0] == "warning: join of unknown thread T9 ignored"
+        assert err.count("warning:") == 1
+    # a warning before an engine error is printed too, ahead of the error
+    p.write_text("T1|join|T9\nT1|rel|m\n")
+    code, out, err = run_cli(capsys, "analyze", str(p))
+    assert (code, out) == (2, "")
+    assert err == ("warning: join of unknown thread T9 ignored\n"
+                   "error: event 1 (T1|rel|m): release of lock m not held by thread T1\n")
 
 
 def test_analyze_metrics_file(capsys, tmp_path, fig_file):

@@ -34,22 +34,22 @@ def test_fig2a_no_flags():
 
 def test_first_access_never_flags():
     clocks = AccessClocks()
-    assert not check_access(clocks, WRITE, 0, (1, 0))
-    assert not check_access(clocks, READ, 1, (0, 1))
+    assert not check_access(clocks, WRITE, 0, (0, (1, 0)))
+    assert not check_access(clocks, READ, 1, (1, (0, 1)))
 
 
 def test_read_read_does_not_flag():
     clocks = AccessClocks()
-    check_access(clocks, READ, 0, (1, 0))
-    assert not check_access(clocks, READ, 0, (0, 1))
+    check_access(clocks, READ, 0, (0, (1, 0)))
+    assert not check_access(clocks, READ, 0, (1, (0, 1)))
     # but a write after incomparable reads does
-    assert check_access(clocks, WRITE, 0, (0, 2))
+    assert check_access(clocks, WRITE, 0, (1, (0, 2)))
 
 
 def test_flags_fold_unconditionally():
     clocks = AccessClocks()
-    check_access(clocks, WRITE, 0, (1, 0))
-    assert check_access(clocks, WRITE, 0, (0, 1))
+    check_access(clocks, WRITE, 0, (0, (1, 0)))
+    assert check_access(clocks, WRITE, 0, (1, (0, 1)))
     # the flagged write still folded into the write join
     assert tuple(clocks.writes[0]) == (1, 1)
 
