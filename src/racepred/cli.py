@@ -8,11 +8,10 @@ given input and configuration (timings go to stderr or the metrics file).
 
 analyze makes one pass 1 through run_detector with one engine: HbEngine
 for --detector hb, and WcpEngine for wcp and for both, where the hb
-detector race-checks the WCP engine's HB clock.  Without --pairs or
---gc-history it streams and keeps no events; --pairs replays the
-buffered trace once per detector in pass 2.  An engine error names the
-event that caused it by index and STD line; engine errors and warnings
-name threads and locks as the trace does.
+detector race-checks the WCP engine's HB clock.  Without --pairs it
+streams and keeps no events; --pairs frees the pass-1 engine, then
+replays the buffered trace once per detector in pass 2.  Engine errors
+name the event and its STD line; they and warnings use trace names.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 
 from . import oracle as oracle_mod
 from . import tracegen
@@ -31,23 +31,42 @@ from .vclock import render
 from .wcp_engine import EngineError, WcpEngine, named
 
 
+# bad traces and bad paths: each ends a subcommand with exit 2 and one error: line
+INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)
+
+
 def _open_input(path: str):
     if path == "-":
         return sys.stdin
     return open(path, "r", encoding="utf-8")
 
 
-def _analyze(args: argparse.Namespace, out) -> int:
-    detectors = ["wcp", "hb"] if args.detector == "both" else [args.detector]
-    buffered = args.pairs or args.gc_history
-    if args.gc_history and args.input == "-":
-        print("--gc-history needs a re-scannable input file", file=sys.stderr)
-        return 2
+def _error_text(exc: Exception, path: str) -> str:
+    """The message for one of INPUT_ERRORS.  A file that is not UTF-8 is
+    re-read as bytes, on this path only, to name its first such line."""
+    if isinstance(exc, UnicodeDecodeError) and path != "-":
+        with open(path, "rb") as f:
+            lines = (line for chunk in f for line in chunk.splitlines())
+            for line_no, line in enumerate(lines, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    return f"line {line_no}: not valid UTF-8 ({bad.reason})"
+    return str(exc)
 
+
+def _analyze(args: argparse.Namespace, out) -> int:
+    # opened before pass 1, so that a bad path fails before any output
+    with open(args.metrics, "w", encoding="utf-8") if args.metrics else nullcontext() as mf:
+        return _analyze_into(args, out, mf)
+
+
+def _analyze_into(args: argparse.Namespace, out, mf) -> int:
+    detectors = ["wcp", "hb"] if args.detector == "both" else [args.detector]
     t0 = time.perf_counter()
     # One pass-1 engine per run: under both, the hb detector race-checks the
     # WCP engine's HB clock, which equals HbEngine's timestamp at every event.
-    engine = (HbEngine if args.detector == "hb" else WcpEngine)(gc_history=args.gc_history)
+    engine = (HbEngine if args.detector == "hb" else WcpEngine)()
     clocks = AccessClocks()
     hb_clocks = AccessClocks() if args.detector == "both" else None
 
@@ -63,10 +82,8 @@ def _analyze(args: argparse.Namespace, out) -> int:
     error = ""
     try:
         with _open_input(args.input) as f:
-            if buffered:
+            if args.pairs:
                 trace = parse_trace(f)
-                if args.gc_history:
-                    engine.preregister(trace.n_threads, {e.tid: e.idx for e in trace.events})
                 events = trace.events
             else:
                 # streaming: the builder keeps no events, and the trace built
@@ -79,23 +96,26 @@ def _analyze(args: argparse.Namespace, out) -> int:
     except EngineError as exc:
         e = exc.event
         error = f"event {e.idx} ({trace.event_line(e)}): {named(str(exc), trace)}"
-    except (ParseError, OSError) as exc:
-        error = str(exc)
+    except INPUT_ERRORS as exc:
+        error = _error_text(exc, args.input)
     for warning in engine.warnings:     # only events warn, so trace is bound
         print(f"warning: {named(warning, trace)}", file=sys.stderr)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
+    n_events, max_queue_load = engine.events_processed, engine.max_queue_load
+    flag_lists = [c.flags for c in (clocks, hb_clocks) if c is not None]
+    # free pass-1 state, the engine's section logs above all, before pass 2 and output
+    del engine, clocks, hb_clocks
 
     any_race = False
     metrics_lines: list[str] = []
     if args.pairs and "wcp" in detectors:
         out.write("# note|wcp|only the first reported pair carries the soundness "
                   "guarantee; an unordered pair can also witness a predictable deadlock\n")
-    counts = (engine.events_processed, trace.n_threads, trace.n_locks, trace.n_vars)
-    for det, det_clocks in zip(detectors, (clocks, hb_clocks)):
-        det_flags = det_clocks.flags
+    counts = (n_events, trace.n_threads, trace.n_locks, trace.n_vars)
+    for det, det_flags in zip(detectors, flag_lists):
         pair_count = None
         if args.pairs:
             pairs, notes = resolve_pairs(trace, det_flags, HbEngine if det == "hb" else WcpEngine,
@@ -111,28 +131,23 @@ def _analyze(args: argparse.Namespace, out) -> int:
                 out.write(line + "\n")
             any_race = any_race or bool(det_flags)
         # HB keeps no section log, so it has no queue load
-        mql = engine.max_queue_load if det == "wcp" else 0
+        mql = max_queue_load if det == "wcp" else 0
         block = summary_lines(det, counts, len(det_flags), mql, pair_count)
         for line in block:
             out.write(line + "\n")
         metrics_lines += block
     print(f"time_s={elapsed:.3f}", file=sys.stderr)
 
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as mf:
-            for line in metrics_lines:
-                mf.write(line + "\n")
-            mf.write(f"time_s={elapsed:.3f}\n")
+    if mf is not None:
+        for line in metrics_lines:
+            mf.write(line + "\n")
+        mf.write(f"time_s={elapsed:.3f}\n")
     return 1 if any_race else 0
 
 
 def _validate(args: argparse.Namespace, out) -> int:
-    try:
-        with _open_input(args.input) as f:
-            trace = parse_trace(f)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _open_input(args.input) as f:
+        trace = parse_trace(f)
     report = validate(trace)
     for v in report.violations:
         out.write(v.render() + "\n")
@@ -176,7 +191,7 @@ def _oracle(args: argparse.Namespace, out) -> int:
         hb = oracle_mod.hb_closure(trace, args.bound)
         wprec = oracle_mod.wcp_prec_closure(trace, args.bound)
         cprec = oracle_mod.cp_prec_closure(trace, args.bound)
-    except (ParseError, oracle_mod.BoundExceeded) as exc:
+    except oracle_mod.BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wle = oracle_mod._as_partial_order(trace, wprec, oracle_mod.WCP_LE)
@@ -193,6 +208,12 @@ def _oracle(args: argparse.Namespace, out) -> int:
     return 1 if any_wcp_race else 0
 
 
+def _non_negative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="racepred",
                                  description="Predictive data-race detection over logged traces")
@@ -203,10 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--detector", choices=["wcp", "hb", "both"], default="wcp")
     a.add_argument("--pairs", action="store_true",
                    help="second pass: resolve full race pairs (buffers the trace)")
-    a.add_argument("--pair-budget", type=int, default=10_000_000)
+    a.add_argument("--pair-budget", type=_non_negative, default=10_000_000)
     a.add_argument("--dump-timestamps", action="store_true")
-    a.add_argument("--gc-history", action="store_true",
-                   help="trim drained section logs (needs a re-scannable file)")
     a.add_argument("--metrics", metavar="FILE", default=None)
 
     v = sub.add_parser("validate", help="check lock semantics and nesting")
@@ -237,14 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out = sys.stdout
-    if args.command == "analyze":
-        return _analyze(args, out)
-    if args.command == "validate":
-        return _validate(args, out)
-    if args.command == "generate":
-        return _generate(args, out)
-    return _oracle(args, out)
+    command = {"analyze": _analyze, "validate": _validate, "generate": _generate,
+               "oracle": _oracle}[args.command]
+    try:
+        return command(args, sys.stdout)
+    except INPUT_ERRORS as exc:
+        print(f"error: {_error_text(exc, getattr(args, 'input', '-'))}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

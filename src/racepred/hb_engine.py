@@ -3,11 +3,10 @@
 The WCP engine keeps Lamport's HB clock H for every thread, so this engine
 subclasses it and keeps only that clock.  It inherits thread and lock
 growth, the granule tick, fork/join, the lock-discipline checks with
-re-entrancy flattening, process, record, the invariant checks and
-preregister.  An acquire joins the lock's last release clock, a release
-stores the thread clock there, and reads and writes join nothing.  No
-section log is kept, so max_queue_load stays 0, and with record=True each
-record is (tid, C, P, H) with C == H and P all zeros.
+re-entrancy flattening, process and the invariant checks.  An acquire
+joins the lock's last release clock, a release stores the thread clock
+there, and reads and writes join nothing.  No section log is kept, so
+max_queue_load stays 0; pred stays all zeros.
 
 Timestamps equal the WCP engine's hbt at every event, which lets
 --detector both race-check hbt without an HbEngine.  They are epochs: a

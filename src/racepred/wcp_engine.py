@@ -79,8 +79,7 @@ def named(msg: str, trace) -> str:
 class WcpEngine:
     detector = "wcp"
 
-    def __init__(self, *, invariant_checks: bool = False, record: bool = False,
-                 gc_history: bool = False):
+    def __init__(self, *, invariant_checks: bool = False):
         self.nthreads = 0
         self.nlocks = 0
         # per thread
@@ -96,9 +95,7 @@ class WcpEngine:
         self.lock_hb: list[tuple[int, ...] | None] = []
         self.holder: list[int] = []
         self.log: list[list[list]] = []        # [owner, acq time, rel time | None]
-        self.log_base: list[int] = []          # entries trimmed off the front
-        self.cursors: list[list[int]] = []     # absolute, lazily padded per thread
-        self.open_entry: list[int] = []        # log index of the open section, or -1
+        self.cursors: list[dict[int, int]] = []  # thread -> log index, 0 if absent
         # per (lock, var): [thread1, time1, thread2, time2] -- the latest
         # contributing release and the latest one by a different thread
         self.read_rel_times: dict[tuple[int, int], list] = {}
@@ -113,10 +110,6 @@ class WcpEngine:
 
         self.invariant_checks = invariant_checks
         self._last_times: list[tuple | None] = []
-        self.record = record
-        self.records: list[tuple] = []          # (tid, C, P, H) per event
-        self.gc_history = gc_history
-        self._retire_at: dict[int, int] | None = None
 
     # -- state growth -------------------------------------------------
 
@@ -147,9 +140,7 @@ class WcpEngine:
             self.lock_hb.append(None)
             self.holder.append(-1)
             self.log.append([])
-            self.log_base.append(0)
-            self.cursors.append([])
-            self.open_entry.append(-1)
+            self.cursors.append({})
 
     def _tick(self, t: int) -> None:
         self.started[t] = True
@@ -217,14 +208,12 @@ class WcpEngine:
         if pl is not None:
             join_into(self.pred[t], pl)
         snap = self._snap(t)
-        log_l = self.log[l]
-        entry_idx = self.log_base[l] + len(log_l)
-        log_l.append([t, snap, None])
+        entry_idx = len(self.log[l])
+        self.log[l].append([t, snap, None])
         self.total_entries += 1
         self.queue_load += self.nthreads - 1
         if self.queue_load > self.max_queue_load:
             self.max_queue_load = self.queue_load
-        self.open_entry[l] = entry_idx
         self.frames[t].append([l, entry_idx, set(), set()])
         return snap
 
@@ -233,18 +222,14 @@ class WcpEngine:
         if frame is None:
             return self._snap(t)
         # Drain this thread's cursor over the lock's section log.
-        cur = self.cursors[l]
-        if len(cur) <= t:
-            cur.extend([0] * (t + 1 - len(cur)))
         log_l = self.log[l]
-        base = self.log_base[l]
-        end = base + len(log_l)
-        i = cur[t]
+        end = len(log_l)
+        i = self.cursors[l].get(t, 0)
         pred_t = self.pred[t]
         checks = self.invariant_checks
         last = None     # latest drained release time not yet folded into pred_t
         while i < end:
-            entry = log_l[i - base]
+            entry = log_l[i]
             u = entry[0]
             if u == t:
                 i += 1
@@ -267,7 +252,7 @@ class WcpEngine:
             i += 1
         if last is not None:
             join_into(pred_t, last)
-        cur[t] = i
+        self.cursors[l][t] = i
 
         _, entry_idx, rset, wset = frame
         h_snap = tuple(self.hbt[t])
@@ -277,16 +262,13 @@ class WcpEngine:
             self._contribute(self.write_rel_times, l, x, t, h_snap)
         self.lock_hb[l] = h_snap
         self.lock_pred[l] = tuple(pred_t)
-        log_l[entry_idx - base][2] = h_snap
-        self.open_entry[l] = -1
+        log_l[entry_idx][2] = h_snap
         frames = self.frames[t]
         if frames:
             # nested accesses belong to the enclosing section too
             outer = frames[-1]
             outer[2] |= rset
             outer[3] |= wset
-        if self.gc_history:
-            self._maybe_trim(l)
         return self._snap(t)
 
     @staticmethod
@@ -382,11 +364,6 @@ class WcpEngine:
         """Dispatch one event (fed in trace order); returns its timestamp."""
         snap = self._DISPATCH[e.kind](self, e.tid, e.op)
         self.events_processed += 1
-        if self._retire_at is not None and self._retire_at.get(e.tid) == e.idx:
-            self._retire_thread(e.tid)
-        if self.record:
-            t = e.tid
-            self.records.append((t, snap, tuple(self.pred[t]), tuple(self.hbt[t])))
         if self.invariant_checks:
             self._check_invariants(e.tid)
         return snap
@@ -408,40 +385,3 @@ class WcpEngine:
             raise EngineError(
                 f"thread-order monotonicity violated for thread {t} at event {self.events_processed - 1}")
         self._last_times[t] = now
-
-    # -- optional history trimming (two-pass mode) ----------------------
-
-    def preregister(self, n_threads: int, last_event_idx: dict[int, int]) -> None:
-        """Enable log trimming: needs every thread known up front plus each
-        thread's final event index (available when the input is re-scannable)."""
-        self._ensure_thread(n_threads - 1)
-        self._retire_at = dict(last_event_idx)
-
-    def _retire_thread(self, t: int) -> None:
-        for l in range(self.nlocks):
-            cur = self.cursors[l]
-            if len(cur) <= t:
-                cur.extend([0] * (t + 1 - len(cur)))
-            base = self.log_base[l]
-            log_l = self.log[l]
-            for i in range(cur[t], base + len(log_l)):
-                if log_l[i - base][0] != t:
-                    self.queue_load -= 1
-            cur[t] = base + len(log_l)
-            self._maybe_trim(l)
-
-    def _maybe_trim(self, l: int) -> None:
-        if self._retire_at is None:
-            return
-        cur = self.cursors[l]
-        if len(cur) < self.nthreads:
-            cur.extend([0] * (self.nthreads - len(cur)))
-        low = min(cur)
-        oe = self.open_entry[l]
-        if oe != -1 and oe < low:
-            low = oe
-        base = self.log_base[l]
-        drop = low - base
-        if drop > 32:
-            del self.log[l][:drop]
-            self.log_base[l] = low

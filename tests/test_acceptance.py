@@ -9,6 +9,8 @@ import itertools
 import random
 import time
 
+from test_wcp_engine import record
+
 from racepred import oracle
 from racepred.cli import main
 from racepred.hb_engine import HbEngine
@@ -151,7 +153,7 @@ def test_criterion_5_lemma_invariants(corpus, corpus_oracle):
     # invariant_checks raises on any P <= C <= H or thread-monotonicity
     # violation while processing; run every suite family under it
     for name, tr in fixtures().items():
-        eng = WcpEngine(invariant_checks=True, record=True)
+        eng = WcpEngine(invariant_checks=True)
         for e in tr.events:
             eng.process(e)
     for bits in itertools.product("01", repeat=4):
@@ -173,10 +175,7 @@ def test_criterion_5_lemma_invariants(corpus, corpus_oracle):
     # recorded P/C/H triples against the brute-force HB relation (HB below
     # implies both clocks below) on a sample
     for tr, (hb, _, _) in list(zip(traces, rels))[::10]:
-        eng = WcpEngine(invariant_checks=True, record=True)
-        for e in tr.events:
-            eng.process(e)
-        rec = eng.records
+        rec = list(record(WcpEngine(invariant_checks=True), tr.events))
         for i in range(tr.n_events):
             _, ci, pi, hi = rec[i]
             assert leq(pi, ci) and leq(ci, hi)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from test_wcp_engine import gen_forky
+from test_wcp_engine import gen_forky, record
 
 from racepred import oracle
 from racepred.hb_engine import HbEngine
@@ -92,10 +92,7 @@ def test_hb_timestamps_monotone_per_thread():
 def wcp_hb_clocks(tr):
     """The WCP engine's HB clock hbt[t] after each event, as --detector both
     race-checks it."""
-    eng = WcpEngine(record=True)
-    for e in tr.events:
-        eng.process(e)
-    return [h for _, _, _, h in eng.records]
+    return [h for _, _, _, h in record(WcpEngine(), tr.events)]
 
 
 def test_wcp_engine_hb_clock_is_the_hb_timestamp(corpus, corpus_hb_stamps):
@@ -129,14 +126,14 @@ def test_malformed_traces_fail_alike_in_both_engines():
         tr = parse_trace(lines)
         outcomes = []
         for engine_cls in (WcpEngine, HbEngine):
-            eng = engine_cls(record=True)
-            error = None
+            eng = engine_cls()
+            error, hs = None, []
             try:
-                for e in tr.events:
-                    eng.process(e)
+                for _, _, _, h in record(eng, tr.events):
+                    hs.append(h)
             except EngineError as exc:
                 error = str(exc)
-            outcomes.append((error, eng.warnings, [h for _, _, _, h in eng.records]))
+            outcomes.append((error, eng.warnings, hs))
         assert outcomes[0] == outcomes[1], lines
         raised += outcomes[0][0] is not None
     assert raised > 1000

@@ -14,12 +14,22 @@ def run(tr, **kw):
     return eng, stamps
 
 
+def record(eng, events):
+    """Feed events through eng, yielding (tid, C, P, H) after each: its
+    timestamp and the thread's pred and HB clocks."""
+    for e in events:
+        c = eng.process(e)
+        t = e.tid
+        yield t, c, tuple(eng.pred[t]), tuple(eng.hbt[t])
+
+
 def test_fig1b_timestamps_and_clocks():
     tr = fixture("fig1b")
-    eng, stamps = run(tr, record=True)
+    records = list(record(WcpEngine(), tr.events))
+    stamps = [c for _, c, _, _ in records]
     assert stamps == [(1,), (1,), (1,), (1,), (0, 1), (0, 1), (0, 1), (0, 2)]
     # the acquire by t2 sees the lock's HB time but not its pred time
-    t, c, p, h = eng.records[4]
+    t, c, p, h = records[4]
     assert (c, p, h) == ((0, 1), (0, 0), (1, 1))
     # the racing pair stays incomparable
     assert not leq(stamps[0], stamps[7]) and not leq(stamps[7], stamps[0])
@@ -100,8 +110,9 @@ def test_reentrant_sections_flattened():
 
 def test_fork_inherits_hb_and_pred():
     tr = parse_trace(["T1|w|y", "T1|fork|T2", "T2|r|y"])
-    eng, stamps = run(tr, record=True)
-    _, c, p, h = eng.records[2]
+    records = list(record(WcpEngine(), tr.events))
+    stamps = [c for _, c, _, _ in records]
+    _, c, p, h = records[2]
     assert h == (1, 1) and p == (0, 0)
     # fork carries the HB clock only; pred stays the parent's pred, so the
     # handoff pair is WCP-unordered -- exactly as the oracle (with fork/join
@@ -355,16 +366,3 @@ def test_queue_metric_counts_foreign_sections():
     eng, _ = run(tr)
     # one section per thread on the same lock, neither drained by the other
     assert eng.max_queue_load == 2
-
-
-def test_gc_history_trims_without_changing_results():
-    tr = gen_random(GenParams(threads=3, locks=2, vars=2, events=50, p_lock=0.5, seed=5))
-    plain, s1 = run(tr)
-    gc = WcpEngine(gc_history=True)
-    last = {}
-    for e in tr.events:
-        last[e.tid] = e.idx
-    gc.preregister(tr.n_threads, last)
-    s2 = [gc.process(e) for e in tr.events]
-    assert s1 == s2
-    assert gc.max_queue_load <= plain.max_queue_load
