@@ -11,22 +11,25 @@ for --detector hb, and WcpEngine for wcp and for both, where the hb
 detector race-checks the WCP engine's HB clock.  Without --pairs it
 streams and keeps no events; --pairs frees the pass-1 engine, then
 replays the buffered trace once per detector in pass 2.  Engine errors
-name the event and its STD line; they and warnings use trace names.
+and warnings name the event and its STD line, and threads and locks by
+their trace names.  analyze and validate read the input through one
+streaming parse; validate then keeps no events either.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import oracle as oracle_mod
 from . import tracegen
-from .hb_engine import HbEngine
+from .hb_engine import HbEngine, validate
 from .race_reporter import (AccessClocks, render_flags, resolve_pairs,
                             run_detector, summary_lines)
-from .trace_model import ParseError, TraceBuilder, iter_parse, parse_trace, validate
+from .trace_model import ParseError, TraceBuilder, iter_parse, parse_trace
 from .vclock import render
 from .wcp_engine import EngineError, WcpEngine, named
 
@@ -37,8 +40,17 @@ INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)
 
 def _open_input(path: str):
     if path == "-":
-        return sys.stdin
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
     return open(path, "r", encoding="utf-8")
+
+
+@contextmanager
+def _read_events(path: str):
+    """Yields (trace, events): events parses the input as it is iterated
+    and keeps nothing, and trace's name tables fill in meanwhile."""
+    with _open_input(path) as f:
+        builder = TraceBuilder()
+        yield builder.build(), iter_parse(f, builder)
 
 
 def _error_text(exc: Exception, path: str) -> str:
@@ -79,27 +91,23 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
         if args.detector != "wcp":
             out.write(f"HB|{e.idx}|{name}|C={render(eng.hbt[t])}\n")
 
+    def at_event(e, message):
+        return f"event {e.idx} ({trace.event_line(e)}): {named(message, trace)}"
+
     error = ""
     try:
-        with _open_input(args.input) as f:
+        with _read_events(args.input) as (trace, events):
             if args.pairs:
-                trace = parse_trace(f)
+                trace.events.extend(events)
                 events = trace.events
-            else:
-                # streaming: the builder keeps no events, and the trace built
-                # from it shares its name tables, which fill in as lines parse
-                builder = TraceBuilder()
-                trace = builder.build()
-                events = iter_parse(f, builder)
             run_detector(events, engine, clocks, dump if args.dump_timestamps else None,
                          hb_clocks)
     except EngineError as exc:
-        e = exc.event
-        error = f"event {e.idx} ({trace.event_line(e)}): {named(str(exc), trace)}"
+        error = at_event(exc.event, str(exc))
     except INPUT_ERRORS as exc:
         error = _error_text(exc, args.input)
     for warning in engine.warnings:     # only events warn, so trace is bound
-        print(f"warning: {named(warning, trace)}", file=sys.stderr)
+        print(f"warning: {at_event(warning.event, warning.message)}", file=sys.stderr)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -146,9 +154,8 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
 
 
 def _validate(args: argparse.Namespace, out) -> int:
-    with _open_input(args.input) as f:
-        trace = parse_trace(f)
-    report = validate(trace)
+    with _read_events(args.input) as (trace, events):
+        report = validate(trace, events)
     for v in report.violations:
         out.write(v.render() + "\n")
     out.write(f"ok={'true' if report.ok else 'false'}\n")
@@ -194,8 +201,8 @@ def _oracle(args: argparse.Namespace, out) -> int:
     except oracle_mod.BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wle = oracle_mod._as_partial_order(trace, wprec, oracle_mod.WCP_LE)
-    cle = oracle_mod._as_partial_order(trace, cprec, oracle_mod.CP_LE)
+    wle = oracle_mod.as_partial_order(trace, wprec)
+    cle = oracle_mod.as_partial_order(trace, cprec)
     for rel in (hb, cprec, wprec):
         for line in rel.dump_lines():
             out.write(line + "\n")

@@ -344,18 +344,20 @@ def cp_prec_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     return OrderRelation(n, rows, CP_PREC)
 
 
-def _as_partial_order(trace: Trace, prec: OrderRelation, kind: str) -> OrderRelation:
+def as_partial_order(trace: Trace, prec: OrderRelation) -> OrderRelation:
+    """A WCP or CP precedence closure united with thread order: the
+    partial order that races_of takes."""
     rows = [r | t for r, t in zip(prec.bits, _to_refl_rows(trace))]
-    return OrderRelation(prec.n, rows, kind)
+    return OrderRelation(prec.n, rows, {WCP_PREC: WCP_LE, CP_PREC: CP_LE}[prec.kind])
 
 
 def wcp_le(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     """The WCP partial order: strict precedence united with thread order."""
-    return _as_partial_order(trace, wcp_prec_closure(trace, bound), WCP_LE)
+    return as_partial_order(trace, wcp_prec_closure(trace, bound))
 
 
 def cp_le(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
-    return _as_partial_order(trace, cp_prec_closure(trace, bound), CP_LE)
+    return as_partial_order(trace, cp_prec_closure(trace, bound))
 
 
 def races_of(trace: Trace, rel: OrderRelation) -> set[tuple[int, int]]:

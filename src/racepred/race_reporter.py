@@ -26,7 +26,7 @@ import warnings as _warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .trace_model import Event, Trace, READ, WRITE
+from .trace_model import JOIN, Event, Trace, READ, WRITE
 from .vclock import join_into, leq
 from .wcp_engine import EngineError
 
@@ -132,10 +132,12 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = 
     hb, given with a WcpEngine, race-checks each access's HB time
     engine.hbt[tid] against hb in the same pass, into hb.flags: the HB
     detector's flags without an HB engine.  dump, if given, is called with
-    (event, C, engine) after each event (timestamp dumps)."""
+    (event, C, engine) after each event (timestamp dumps).  An EngineError
+    or EngineWarning gets its event set."""
     if clocks is None:
         clocks = AccessClocks()
     flags = clocks.flags
+    warnings = engine.warnings
     for e in events:
         try:
             c = engine.process(e)
@@ -147,6 +149,8 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = 
                 flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
             if hb is not None and check_access(hb, e.kind, e.op, (e.tid, engine.hbt[e.tid])):
                 hb.flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
+        elif e.kind == JOIN and warnings and warnings[-1].event is None:
+            warnings[-1].event = e      # only a join warns, at most once
         if dump is not None:
             dump(e, c, engine)
     return flags

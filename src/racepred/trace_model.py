@@ -1,4 +1,4 @@
-"""Trace model: events, the STD text format, and well-formedness checks.
+"""Trace model: events and the STD text format.
 
 One event per line, fields separated by ``|``::
 
@@ -11,13 +11,16 @@ field is an opaque program-location string (everything after the third
 bar, so it may itself contain bars).
 
 Ids are interned to dense integers at parse time so the engines index
-arrays instead of hash tables on the hot path.
+arrays instead of hash tables on the hot path.  Parsing checks each line
+alone; whether the trace as a whole is well formed (lock discipline,
+fork/join) is decided by the engines' own checks, which validate (in
+hb_engine) runs over a stream of events.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 READ, WRITE, ACQUIRE, RELEASE, FORK, JOIN = range(6)
@@ -208,120 +211,3 @@ def conflicting(e1: Event, e2: Event) -> bool:
         and e1.tid != e2.tid
         and (e1.kind == WRITE or e2.kind == WRITE)
     )
-
-
-# Violation kinds.  The first five concern lock discipline, the last two
-# fork/join plausibility.  ReentrantFlattened and DanglingCriticalSection
-# are warnings: the engines flatten re-entrant sections on the fly and a
-# section left open at end of trace is common in real logs.
-DOUBLE_ACQUIRE = "DoubleAcquire"
-UNMATCHED_RELEASE = "UnmatchedRelease"
-BAD_NESTING = "BadNesting"
-REENTRANT_FLATTENED = "ReentrantFlattened"
-DANGLING_CRITICAL_SECTION = "DanglingCriticalSection"
-FORK_OF_KNOWN_THREAD = "ForkOfKnownThread"
-JOIN_OF_LIVE_THREAD = "JoinOfLiveThread"
-
-_WARNING_KINDS = {REENTRANT_FLATTENED, DANGLING_CRITICAL_SECTION}
-
-
-@dataclass(slots=True)
-class Violation:
-    idx: int
-    kind: str
-    message: str
-
-    @property
-    def is_warning(self) -> bool:
-        return self.kind in _WARNING_KINDS
-
-    def render(self) -> str:
-        sev = "warning" if self.is_warning else "error"
-        return f"VIOLATION|{sev}|{self.kind}|idx={self.idx}|{self.message}"
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[Violation] = field(default_factory=list)
-
-    def errors(self) -> list[Violation]:
-        return [v for v in self.violations if not v.is_warning]
-
-    def warnings(self) -> list[Violation]:
-        return [v for v in self.violations if v.is_warning]
-
-
-def validate(trace: Trace) -> ValidationReport:
-    """Check lock semantics, well-nestedness and fork/join plausibility.
-
-    Re-entrant re-acquisition by the holding thread is flattened by the
-    engines, so here it only warns.  Nesting is judged on the flattened
-    view.  All issues land in the report; nothing raises.
-    """
-    violations: list[Violation] = []
-    first_idx: dict[int, int] = {}
-    last_idx: dict[int, int] = {}
-    for e in trace.events:
-        first_idx.setdefault(e.tid, e.idx)
-        last_idx[e.tid] = e.idx
-
-    holder: dict[int, int] = {}          # lock -> thread
-    depth: dict[tuple[int, int], int] = {}
-    stacks: dict[int, list[tuple[int, int]]] = {}   # thread -> [(lock, acq idx)]
-    forked: set[int] = set()
-
-    for e in trace.events:
-        t, l, i = e.tid, e.op, e.idx
-        if e.kind == ACQUIRE:
-            d = depth.get((t, l), 0)
-            if d > 0:
-                depth[(t, l)] = d + 1
-                violations.append(Violation(i, REENTRANT_FLATTENED,
-                                            f"{trace.thread_names[t]} re-acquires held lock {trace.lock_names[l]}"))
-            elif l in holder:
-                violations.append(Violation(i, DOUBLE_ACQUIRE,
-                                            f"lock {trace.lock_names[l]} already held by {trace.thread_names[holder[l]]}"))
-            else:
-                holder[l] = t
-                depth[(t, l)] = 1
-                stacks.setdefault(t, []).append((l, i))
-        elif e.kind == RELEASE:
-            d = depth.get((t, l), 0)
-            if d == 0:
-                violations.append(Violation(i, UNMATCHED_RELEASE,
-                                            f"{trace.thread_names[t]} releases {trace.lock_names[l]} it does not hold"))
-            elif d > 1:
-                depth[(t, l)] = d - 1   # inner pair of a flattened section
-            else:
-                st = stacks.get(t, [])
-                if st and st[-1][0] == l:
-                    st.pop()
-                else:
-                    violations.append(Violation(i, BAD_NESTING,
-                                                f"release of {trace.lock_names[l]} does not match innermost open section"))
-                    for k in range(len(st) - 1, -1, -1):
-                        if st[k][0] == l:
-                            del st[k]
-                            break
-                depth[(t, l)] = 0
-                holder.pop(l, None)
-        elif e.kind == FORK:
-            u = e.op
-            if u == t or u in forked or first_idx.get(u, trace.n_events) < i:
-                violations.append(Violation(i, FORK_OF_KNOWN_THREAD,
-                                            f"fork of already-active thread {trace.thread_names[u]}"))
-            forked.add(u)
-        elif e.kind == JOIN:
-            u = e.op
-            if u == t or last_idx.get(u, -1) > i:
-                violations.append(Violation(i, JOIN_OF_LIVE_THREAD,
-                                            f"join of thread {trace.thread_names[u]} which still has events"))
-
-    for t, st in stacks.items():
-        for l, acq_i in st:
-            violations.append(Violation(acq_i, DANGLING_CRITICAL_SECTION,
-                                        f"{trace.thread_names[t]} never releases {trace.lock_names[l]}"))
-
-    ok = all(v.is_warning for v in violations)
-    return ValidationReport(ok, violations)

@@ -3,7 +3,7 @@
 A vector time maps dense thread indices to non-negative counters.  Widths
 grow as threads appear, so every operation treats absent components as 0
 (the bottom element extends silently), and two vector times are equal
-when they agree after trim() drops trailing zeros.
+when they agree once trailing zeros are dropped.
 
 The engines keep their clocks as plain lists of ints (tuples for
 snapshots) and use the sequence-level helpers below on the hot path.
@@ -12,9 +12,6 @@ snapshots) and use the sequence-level helpers below on the hot path.
 from __future__ import annotations
 
 from typing import Sequence
-
-BOTTOM: tuple[int, ...] = ()
-
 
 def leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Pointwise <= over the union of widths."""
@@ -33,18 +30,6 @@ def leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
-def join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Pointwise max, as a new tuple."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i in range(len(b)):
-        v = b[i]
-        if v > out[i]:
-            out[i] = v
-    return tuple(out)
-
-
 def join_into(dst: list[int], src: Sequence[int]) -> None:
     """In-place pointwise max; dst grows if src is wider."""
     n = len(dst)
@@ -56,18 +41,6 @@ def join_into(dst: list[int], src: Sequence[int]) -> None:
         v = src[i]
         if v > dst[i]:
             dst[i] = v
-
-
-def get(v: Sequence[int], u: int) -> int:
-    return v[u] if 0 <= u < len(v) else 0
-
-
-def trim(v: Sequence[int]) -> tuple[int, ...]:
-    """Canonical form: trailing zeros dropped."""
-    n = len(v)
-    while n and not v[n - 1]:
-        n -= 1
-    return tuple(v[:n])
 
 
 def render(v: Sequence[int]) -> str:

@@ -6,7 +6,9 @@ and hbt[t] joins those of every event HB-before it (component t mirrors
 n[t]).  The timestamp of t's latest event is pred[t] with component t
 set to n[t]; it is materialized on demand rather than mirrored.  n[t]
 bumps just before the next event of t whenever t's granule has ended
-since: t released a lock, forked a thread or was joined.
+since: t released a lock or forked a thread.  Being joined ends t's last
+granule: a joined thread never acts again, and an event of it raises
+JoinOfLiveThread.
 
 Per lock: the pred/hbt values of the last release, plus an append-only
 log of critical sections (owner, acquire-time, release-HB-time) with one
@@ -21,15 +23,15 @@ unlock the next.
 The drain decides acq <= C_t by one epoch comparison, acq[u] <=
 pred[t][u] for the entry's owner u (never t).  This is exact because
 pred[t] is only ever a join of whole hbt snapshots, and a thread exports
-its hbt only at the end of a granule -- a release, a fork, or being
-joined -- after which its local clock bumps.  So a snapshot that knows
-u's local time n is HB-after every event of u with local time n, and
-acq <= H_acq <= snapshot <= pred[t].  Folds are lazy: the release times
-of one lock form a chain (every acquire joins the lock's HB clock), so
-the latest drained release time subsumes all earlier ones.  The drain
-keeps only that one, folds it when an epoch test fails and retests the
-same entry, and folds it once more when the drain ends, so pred and
-every timestamp are those of eager folding.  With invariant_checks on,
+its hbt only at the end of a granule -- a release or a fork, after which
+its local clock bumps, or being joined, after which it never acts again.
+So a snapshot that knows u's local time n is HB-after every event of u
+with local time n, and acq <= H_acq <= snapshot <= pred[t].  Folds are
+lazy: the release times of one lock form a chain (every acquire joins
+the lock's HB clock), so the latest drained release time subsumes all
+earlier ones.  The drain keeps only that one, folds it when an epoch
+test fails and retests the same entry, and folds it once more when the
+drain ends, so pred and every timestamp are those of eager folding.  With invariant_checks on,
 every epoch test is also compared with the full leq.
 
 Per (lock, variable): the release-HB-times of sections over the lock
@@ -50,23 +52,46 @@ own components, so everything HB-below the ordering's source arrives too.
 hbt[t] is therefore the HB timestamp of t's latest event, equal to
 HbEngine's at every event, so one pass of this engine serves both
 detectors (``run_detector``'s hb argument).  HbEngine subclasses this
-engine and shares its thread and lock state, the lock-discipline checks
-(_enter/_leave), fork/join and process.
+engine and shares its thread and lock state, fork/join and process.
+
+The well-formedness rules live here and nowhere else: _enter/_leave check
+lock discipline, fork/join and _tick check fork/join plausibility.  Each
+raises an EngineError whose kind names the rule, before its operation
+changes any state, so validate can report the event and skip it.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event
 from .vclock import join_into, leq
 
 
+JOINED = 2      # pending[t] once t was joined: truthy, so t's next tick raises
+
+
 class EngineError(Exception):
-    """Internal consistency violation (malformed input or broken invariant).
-    run_detector sets its event attribute to the event that raised it.
-    Messages, like warnings, give threads and locks as 'thread N' and
-    'lock N' by interned id; named() puts the trace's names there."""
+    """Malformed input, with kind the rule it broke (DoubleAcquire,
+    UnmatchedRelease, BadNesting, ForkOfKnownThread or JoinOfLiveThread),
+    or a broken internal invariant, with kind None.  run_detector sets
+    event to the event that raised it.  Messages, like warnings, give
+    threads and locks as 'thread N' and 'lock N' by interned id; named()
+    puts the trace's names there."""
+
+    def __init__(self, message: str, kind: str | None = None):
+        super().__init__(message)
+        self.kind = kind
+
+
+@dataclass(slots=True)
+class EngineWarning:
+    """Input the engine runs but ignores in part; run_detector sets event."""
+
+    kind: str
+    message: str
+    event: Event | None = None
 
 
 def named(msg: str, trace) -> str:
@@ -86,7 +111,7 @@ class WcpEngine:
         self.local: list[int] = []
         self.pred: list[list[int]] = []
         self.hbt: list[list[int]] = []
-        self.pending: list[bool] = []
+        self.pending: list[bool | int] = []    # bump owed, or JOINED
         self.started: list[bool] = []          # performed an event or was forked
         self.frames: list[list[list]] = []     # [lock, log index, rset, wset]
         self.held: list[dict[int, int]] = []   # lock -> re-entry depth
@@ -103,7 +128,8 @@ class WcpEngine:
 
         self.events_processed = 0
         self.reentrant_flattened = 0
-        self.warnings: list[str] = []
+        self.warnings: list[EngineWarning] = []
+        self.joined_unseen: set[int] = set()   # joined before their state exists
         self.queue_load = 0
         self.max_queue_load = 0
         self.total_entries = 0
@@ -122,7 +148,7 @@ class WcpEngine:
             row = [0] * (u + 1)
             row[u] = 1
             self.hbt.append(row)
-            self.pending.append(False)
+            self.pending.append(JOINED if u in self.joined_unseen else False)
             self.started.append(False)
             self.frames.append([])
             self.held.append({})
@@ -143,13 +169,18 @@ class WcpEngine:
             self.cursors.append({})
 
     def _tick(self, t: int) -> None:
-        self.started[t] = True
-        # local clock bump owed since t's last release
+        # local clock bump owed since t's last release or fork
         if self.pending[t]:
+            self._refuse_if_joined(t)
             self.pending[t] = False
             n = self.local[t] + 1
             self.local[t] = n
             self.hbt[t][t] = n
+        self.started[t] = True
+
+    def _refuse_if_joined(self, t: int) -> None:
+        if self.pending[t] == JOINED:
+            raise EngineError(f"thread {t} acts after being joined", "JoinOfLiveThread")
 
     def _snap(self, t: int) -> tuple[int, ...]:
         c = self.pred[t][:]
@@ -165,11 +196,13 @@ class WcpEngine:
         d = held.get(l, 0)
         if d:
             # re-entrant re-acquisition: flattened, not a logical acquire
+            self._refuse_if_joined(t)
             held[l] = d + 1
             self.reentrant_flattened += 1
             return False
         if self.holder[l] != -1:
-            raise EngineError(f"acquire of lock {l} already held by thread {self.holder[l]}")
+            raise EngineError(f"acquire of lock {l} already held by thread {self.holder[l]}",
+                              "DoubleAcquire")
         self._tick(t)
         self.holder[l] = t
         held[l] = 1
@@ -183,13 +216,15 @@ class WcpEngine:
         held = self.held[t]
         d = held.get(l, 0)
         if d == 0:
-            raise EngineError(f"release of lock {l} not held by thread {t}")
+            raise EngineError(f"release of lock {l} not held by thread {t}", "UnmatchedRelease")
         if d > 1:
+            self._refuse_if_joined(t)
             held[l] = d - 1
             return None
         frames = self.frames[t]
         if not frames or frames[-1][0] != l:
-            raise EngineError(f"release of lock {l} does not match innermost open section")
+            raise EngineError(f"release of lock {l} does not match innermost open section",
+                              "BadNesting")
         self._tick(t)
         self.holder[l] = -1
         del held[l]
@@ -324,7 +359,7 @@ class WcpEngine:
     def fork(self, t: int, u: int) -> tuple[int, ...]:
         self._ensure_thread(t)
         if u == t or (u < self.nthreads and self.started[u]):
-            raise EngineError(f"fork of already-active thread {u}")
+            raise EngineError(f"fork of already-active thread {u}", "ForkOfKnownThread")
         self._tick(t)
         self._ensure_thread(u)
         self.started[u] = True
@@ -344,15 +379,20 @@ class WcpEngine:
     def join(self, t: int, u: int) -> tuple[int, ...]:
         self._ensure_thread(t)
         if u == t:
-            raise EngineError("thread cannot join itself")
+            raise EngineError("thread cannot join itself", "JoinOfLiveThread")
         self._tick(t)
+        # u must never act again (the mark makes its next event raise), so
+        # exporting its HB clock below ends its last granule
+        if u < self.nthreads:
+            self.pending[u] = JOINED
+        else:
+            self.joined_unseen.add(u)
         if u >= self.nthreads or not self.started[u]:
-            self.warnings.append(f"join of unknown thread {u} ignored")
+            self.warnings.append(EngineWarning("JoinOfUnknownThread",
+                                               f"join of unknown thread {u} ignored"))
             return self._snap(t)
         join_into(self.hbt[t], self.hbt[u])
         join_into(self.pred[t], self.pred[u])
-        # exporting u's HB clock ends u's granule, as a fork ends the parent's
-        self.pending[u] = True
         return self._snap(t)
 
     # -- driver ---------------------------------------------------------

@@ -49,10 +49,27 @@ def test_analyze_streaming_flags_only(capsys, fig_file):
     assert "pairs=" not in out
 
 
+def stdin_bytes(monkeypatch, data: bytes):
+    # a locale-decoded stdin, as a C locale gives; cli must read its bytes
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+
+
 def test_analyze_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(fixture("fig1b").serialize()))
+    stdin_bytes(monkeypatch, fixture("fig1b").serialize().encode())
     code, out, _ = run_cli(capsys, "analyze", "-")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_stdin_is_strict_utf8(capsys, monkeypatch, command):
+    stdin_bytes(monkeypatch, b"T1|w|x|a\xffb\n")
+    code, out, err = run_cli(capsys, command, "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "0xff" in err
+    stdin_bytes(monkeypatch, "T1|w|x|caf\u00e9\n".encode())
+    code, out, err = run_cli(capsys, command, "-")
+    assert code == 0 and err.count("error") == 0
 
 
 def test_analyze_parse_error(capsys, tmp_path):
@@ -76,6 +93,8 @@ def test_analyze_engine_error_names_the_event(capsys, tmp_path):
     (["T1|fork|T2", "T3|fork|T2"], "error: event 1 (T3|fork|T2): fork of already-active thread T2"),
     (["T1|acq|l", "T1|acq|m", "T1|rel|l"],
      "error: event 2 (T1|rel|l): release of lock l does not match innermost open section"),
+    (["T1|fork|T2", "T1|join|T2", "T2|w|x|f:3"],
+     "error: event 2 (T2|w|x|f:3): thread T2 acts after being joined"),
 ])
 def test_analyze_engine_errors_use_trace_names(capsys, tmp_path, lines, message):
     p = tmp_path / "bad.std"
@@ -92,13 +111,14 @@ def test_analyze_prints_engine_warnings_by_name(capsys, tmp_path):
         code, out, err = run_cli(capsys, "analyze", *argv, str(p))
         # one pass-1 engine, so one warning; stdout is the report alone
         assert code == 1 and "threads=3" in out and "warning" not in out
-        assert err.splitlines()[0] == "warning: join of unknown thread T9 ignored"
+        assert err.splitlines()[0] == \
+            "warning: event 1 (T1|join|T9): join of unknown thread T9 ignored"
         assert err.count("warning:") == 1
     # a warning before an engine error is printed too, ahead of the error
     p.write_text("T1|join|T9\nT1|rel|m\n")
     code, out, err = run_cli(capsys, "analyze", str(p))
     assert (code, out) == (2, "")
-    assert err == ("warning: join of unknown thread T9 ignored\n"
+    assert err == ("warning: event 0 (T1|join|T9): join of unknown thread T9 ignored\n"
                    "error: event 1 (T1|rel|m): release of lock m not held by thread T1\n")
 
 
@@ -124,6 +144,10 @@ def test_validate_command(capsys, fig_file, tmp_path):
     code, out, _ = run_cli(capsys, "validate", str(p))
     assert code == 2
     assert "VIOLATION|error|DoubleAcquire|idx=1" in out and "ok=false" in out
+    # validate streams: a parse error after a violation still prints no report
+    p.write_text("T1|acq|l\nT2|acq|l\nT1|bad\n")
+    assert run_cli(capsys, "validate", str(p)) == \
+        (2, "", "error: line 3: expected tid|op|operand[|loc], got 2 field(s)\n")
 
 
 def test_generate_fixture_roundtrip(capsys):
@@ -284,9 +308,14 @@ def test_pass1_engine_is_freed_before_pass2_and_output(capsys, monkeypatch, fig_
 
 
 def test_readme_analyze_synopsis_lists_every_option():
+    # every subcommand's README synopsis names each of its long options
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    synopsis = readme[readme.index("racepred analyze "):readme.index("racepred validate ")]
+    block = readme[readme.index("racepred analyze "):]
+    block = block[:block.index("```")]
     sub = next(a for a in build_parser()._actions if a.choices and "analyze" in a.choices)
-    options = {opt for action in sub.choices["analyze"]._actions
-               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
-    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == options
+    synopses = re.split(r"^racepred ", block, flags=re.M)[1:]
+    assert [s.split()[0] for s in synopses] == list(sub.choices)
+    for synopsis in synopses:
+        options = {opt for action in sub.choices[synopsis.split()[0]]._actions
+                   for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == options, synopsis

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racepred.hb_engine import HbEngine
+from racepred.hb_engine import HbEngine, validate
 from racepred.trace_model import (ACQUIRE, READ, WRITE, Event, ParseError,
                                   TraceBuilder, conflicting, iter_parse,
-                                  parse_trace, validate)
+                                  parse_trace)
 from racepred.tracegen import GenParams, fixture, gen_random
 from racepred.wcp_engine import EngineError, WcpEngine
 
@@ -125,6 +125,9 @@ def test_validate_reentrant_is_warning():
     rep = validate(parse(["T1|acq|l", "T1|acq|l", "T1|rel|l", "T1|rel|l"]))
     assert rep.ok
     assert [v.kind for v in rep.warnings()] == ["ReentrantFlattened"]
+    # a flattened re-acquire is still an event of its thread
+    rep = validate(parse(["T2|acq|l", "T1|join|T2", "T2|acq|l"]))
+    assert [(v.kind, v.idx) for v in rep.errors()] == [("JoinOfLiveThread", 2)]
 
 
 def test_validate_dangling_is_warning():
@@ -138,10 +141,16 @@ def test_validate_fork_join():
     assert any(v.kind == "ForkOfKnownThread" for v in rep.errors())
     rep = validate(parse(["T1|fork|T1"]))
     assert [v.kind for v in rep.errors()] == ["ForkOfKnownThread"]
+    # a joined thread that acts again is reported where it acts
     rep = validate(parse(["T1|fork|T2", "T2|w|x", "T1|join|T2", "T2|w|x"]))
-    assert any(v.kind == "JoinOfLiveThread" for v in rep.errors())
+    assert [(v.kind, v.idx) for v in rep.errors()] == [("JoinOfLiveThread", 3)]
     rep = validate(parse(["T1|fork|T2", "T2|w|x", "T1|join|T2"]))
     assert rep.ok
+    rep = validate(parse(["T1|w|x", "T1|join|T9"]))
+    assert rep.ok and [(v.kind, v.idx) for v in rep.warnings()] == [("JoinOfUnknownThread", 1)]
+    rep = validate(parse(["T1|join|T9", "T9|w|x"]))
+    assert [(v.kind, v.idx, v.is_warning) for v in rep.violations] == \
+        [("JoinOfUnknownThread", 0, True), ("JoinOfLiveThread", 1, False)]
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -175,11 +184,12 @@ def test_match_exists_between_same_lock_acquires(i):
 
 
 def test_validate_ok_implies_engines_accept():
-    # seeded fuzz over short traces of every event kind: a trace validate
-    # passes must run through both engines without an EngineError
+    # seeded fuzz over short traces of every event kind, T4 never acting
+    # but joined: validate accepts a trace exactly when both engines run
+    # it, and an engine that raises does so at validate's first error
     rng = random.Random(3)
     operands = {"acq": ["l", "m"], "rel": ["l", "m"], "r": ["x", "y"], "w": ["x", "y"],
-                "fork": ["T1", "T2", "T3"], "join": ["T1", "T2", "T3"]}
+                "fork": ["T1", "T2", "T3"], "join": ["T1", "T2", "T3", "T4"]}
     accepted = 0
     for _ in range(4000):
         lines = []
@@ -187,14 +197,18 @@ def test_validate_ok_implies_engines_accept():
             op = rng.choice(list(operands))
             lines.append(f"{rng.choice(['T1', 'T2', 'T3'])}|{op}|{rng.choice(operands[op])}")
         tr = parse(lines)
-        if not validate(tr).ok:
-            continue
-        accepted += 1
+        rep = validate(tr)
+        accepted += rep.ok
         for engine_cls in (WcpEngine, HbEngine):
             eng = engine_cls()
             try:
                 for e in tr.events:
+                    raised = e
                     eng.process(e)
             except EngineError as exc:
-                pytest.fail(f"{engine_cls.detector} rejects a valid trace {lines}: {exc}")
+                first = rep.errors()[0] if rep.errors() else None
+                assert first and (first.idx, first.kind) == (raised.idx, exc.kind), \
+                    (engine_cls.detector, lines, exc)
+            else:
+                assert rep.ok, (engine_cls.detector, lines, rep.violations)
     assert accepted > 500

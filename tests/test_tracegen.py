@@ -1,7 +1,8 @@
 import pytest
 
 from racepred import oracle
-from racepred.trace_model import ACQUIRE, READ, RELEASE, WRITE, parse_trace, validate
+from racepred.hb_engine import validate
+from racepred.trace_model import ACQUIRE, READ, RELEASE, WRITE, parse_trace
 from racepred.tracegen import (FIXTURE_NAMES, GenParams, fixture, fixtures,
                                gen_equality_trace, gen_random, iter_scaling)
 

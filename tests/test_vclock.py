@@ -1,9 +1,25 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racepred.vclock import BOTTOM, join, join_into, leq, render, trim
+from racepred.vclock import join_into, leq, render
 
 vectors = st.lists(st.integers(min_value=0, max_value=6), max_size=6).map(tuple)
+BOTTOM = ()
+
+
+def join(a, b):
+    """Pointwise max through join_into, as a new tuple."""
+    out = list(a)
+    join_into(out, b)
+    return tuple(out)
+
+
+def trim(v):
+    """Canonical form: trailing zeros dropped."""
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return tuple(v)
 
 
 def test_leq_bottom_below_everything():

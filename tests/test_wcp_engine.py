@@ -1,10 +1,11 @@
 import pytest
 
 from racepred import oracle
-from racepred.trace_model import parse_trace, validate
+from racepred.hb_engine import validate
+from racepred.trace_model import JOIN, parse_trace
 from racepred.tracegen import (GenParams, find_by_loc, fixture, fixtures,
                                gen_equality_trace, gen_random)
-from racepred.vclock import get, leq
+from racepred.vclock import leq
 from racepred.wcp_engine import EngineError, WcpEngine
 
 
@@ -219,7 +220,7 @@ def epoch_mismatches(tr, stamps):
         for j, cj in enumerate(stamps):
             if tids[j] != u:
                 checked += 1
-                if leq(ci, cj) != (n <= get(cj, u)):
+                if leq(ci, cj) != (n <= (cj[u] if u < len(cj) else 0)):
                     bad += 1
     return checked, bad
 
@@ -250,13 +251,21 @@ def test_epoch_test_decides_order(corpus, corpus_wcp_stamps, corpus_hb_stamps):
      "t1|acq|l1", "t0|rel|l0", "t2|acq|l0", "t2|w|y", "t1|r|y"],
 ])
 def test_join_ends_the_joined_threads_granule(engine, lines):
-    # a thread acting after being joined (JoinOfLiveThread) must not look
-    # HB-below the joiner's later exports on the strength of one component
+    # a joined thread never acts again: both engines raise JoinOfLiveThread
+    # at its next event, and validate names the same event; up to there,
+    # the timestamps are epochs
     from racepred.hb_engine import HbEngine
     tr = parse_trace(lines)
-    assert not validate(tr).ok
+    joined = next(e for e in tr.events if e.kind == JOIN)
+    bad = next(e for e in tr.events[joined.idx:] if e.tid == joined.op)
     eng = {"wcp": WcpEngine, "hb": HbEngine}[engine](invariant_checks=True)
-    assert epoch_mismatches(tr, [eng.process(e) for e in tr.events])[1] == 0
+    stamps = [eng.process(e) for e in tr.events[:bad.idx]]
+    with pytest.raises(EngineError, match="acts after being joined") as exc:
+        eng.process(bad)
+    assert exc.value.kind == "JoinOfLiveThread"
+    first = validate(tr).errors()[0]
+    assert (first.idx, first.kind) == (bad.idx, "JoinOfLiveThread")
+    assert epoch_mismatches(tr, stamps)[1] == 0
 
 
 def test_drain_epoch_check_compares_with_leq():
@@ -287,8 +296,7 @@ def test_join_inherits_pred_exactly():
     ]
     tr = parse_trace(lines)
     eng, stamps = run(tr)
-    from racepred.vclock import trim
-    assert trim(eng.pred[2]) == trim(eng.pred[1])
+    assert leq(eng.pred[2], eng.pred[1]) and leq(eng.pred[1], eng.pred[2])
     assert leq(stamps[5], stamps[6]) is False   # WCP carries pred, not the HB edge
 
 
