@@ -19,7 +19,6 @@ streaming parse; validate then keeps no events either.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -29,42 +28,22 @@ from . import tracegen
 from .hb_engine import HbEngine, validate
 from .race_reporter import (AccessClocks, render_flags, resolve_pairs,
                             run_detector, summary_lines)
-from .trace_model import ParseError, TraceBuilder, iter_parse, parse_trace
+from .trace_model import ParseError, TraceBuilder, iter_parse, load_trace, open_trace
 from .vclock import render
 from .wcp_engine import EngineError, WcpEngine, named
 
 
 # bad traces and bad paths: each ends a subcommand with exit 2 and one error: line
-INPUT_ERRORS = (ParseError, OSError, UnicodeDecodeError)
-
-
-def _open_input(path: str):
-    if path == "-":
-        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+INPUT_ERRORS = (ParseError, OSError)
 
 
 @contextmanager
 def _read_events(path: str):
     """Yields (trace, events): events parses the input as it is iterated
     and keeps nothing, and trace's name tables fill in meanwhile."""
-    with _open_input(path) as f:
+    with open_trace(path) as f:
         builder = TraceBuilder()
         yield builder.build(), iter_parse(f, builder)
-
-
-def _error_text(exc: Exception, path: str) -> str:
-    """The message for one of INPUT_ERRORS.  A file that is not UTF-8 is
-    re-read as bytes, on this path only, to name its first such line."""
-    if isinstance(exc, UnicodeDecodeError) and path != "-":
-        with open(path, "rb") as f:
-            lines = (line for chunk in f for line in chunk.splitlines())
-            for line_no, line in enumerate(lines, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    return f"line {line_no}: not valid UTF-8 ({bad.reason})"
-    return str(exc)
 
 
 def _analyze(args: argparse.Namespace, out) -> int:
@@ -105,7 +84,7 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
     except EngineError as exc:
         error = at_event(exc.event, str(exc))
     except INPUT_ERRORS as exc:
-        error = _error_text(exc, args.input)
+        error = str(exc)
     for warning in engine.warnings:     # only events warn, so trace is bound
         print(f"warning: {at_event(warning.event, warning.message)}", file=sys.stderr)
     if error:
@@ -193,8 +172,7 @@ def _generate(args: argparse.Namespace, out) -> int:
 
 def _oracle(args: argparse.Namespace, out) -> int:
     try:
-        with _open_input(args.input) as f:
-            trace = parse_trace(f)
+        trace = load_trace(args.input)
         hb = oracle_mod.hb_closure(trace, args.bound)
         wprec = oracle_mod.wcp_prec_closure(trace, args.bound)
         cprec = oracle_mod.cp_prec_closure(trace, args.bound)
@@ -268,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args, sys.stdout)
     except INPUT_ERRORS as exc:
-        print(f"error: {_error_text(exc, getattr(args, 'input', '-'))}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

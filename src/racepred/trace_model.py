@@ -14,12 +14,15 @@ Ids are interned to dense integers at parse time so the engines index
 arrays instead of hash tables on the hot path.  Parsing checks each line
 alone; whether the trace as a whole is well formed (lock discipline,
 fork/join) is decided by the engines' own checks, which validate (in
-hb_engine) runs over a stream of events.
+hb_engine) runs over a stream of events.  Input is UTF-8: open_trace
+reads files and stdin alike, and parse_line names a line that is not.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -157,8 +160,14 @@ class TraceBuilder:
 
     def parse_line(self, line: str, line_no: int) -> Event | None:
         """Parse one input line into an event, not kept; returns None for
-        comments/blank lines."""
+        comments/blank lines.  Bytes that are not UTF-8 arrive from
+        open_trace as lone surrogates, and are an error on their line."""
         line = line.rstrip("\n")
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeError as bad:
+                raise ParseError(line_no, f"not valid UTF-8 ({bad.reason})") from None
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             return None
@@ -197,8 +206,16 @@ def iter_parse(lines: Iterable[str], builder: TraceBuilder) -> Iterator[Event]:
             yield e
 
 
+def open_trace(path: str):
+    """The input at path, or stdin for "-", as text with universal
+    newlines; parse_line rejects the lines that are not UTF-8."""
+    if path == "-":
+        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
 def load_trace(path: str) -> Trace:
-    with open(path, "r", encoding="utf-8") as f:
+    with open_trace(path) as f:
         return parse_trace(f)
 
 

@@ -8,10 +8,13 @@ set to n[t]; it is materialized on demand rather than mirrored.  n[t]
 bumps just before the next event of t whenever t's granule has ended
 since: t released a lock or forked a thread.  Being joined ends t's last
 granule: a joined thread never acts again, and an event of it raises
-JoinOfLiveThread.
+JoinOfLiveThread.  A row is only table space, made when an id is first
+needed (a join makes one); t starts at its first event or its fork.
 
-Per lock: the pred/hbt values of the last release, plus an append-only
-log of critical sections (owner, acquire-time, release-HB-time) with one
+Per lock: its owner holder[l] (-1 when free) and depth[l], the number of
+flattened re-acquires still open, so t holds l exactly when holder[l] ==
+t.  Also the pred/hbt values of the last release, and an append-only log
+of critical sections (owner, acquire-time, release-HB-time) with one
 read cursor per thread.  A release drains its cursor forward while the
 logged acquire time is <= the live current time, folding the logged
 release time into pred; entries the releasing thread wrote itself are
@@ -19,6 +22,10 @@ skipped.  This is the release-release ordering rule: once a foreign
 acquire time is dominated, some event of that section is WCP-ordered
 below us, so its release must be too, and one drained section can
 unlock the next.
+
+queue_load sums the paper's per-thread queues: the entries each started
+thread has yet to drain.  A thread's backlog, the whole log so far,
+enters at its start; an acquire adds one entry per other started thread.
 
 The drain decides acq <= C_t by one epoch comparison, acq[u] <=
 pred[t][u] for the entry's owner u (never t).  This is exact because
@@ -114,11 +121,11 @@ class WcpEngine:
         self.pending: list[bool | int] = []    # bump owed, or JOINED
         self.started: list[bool] = []          # performed an event or was forked
         self.frames: list[list[list]] = []     # [lock, log index, rset, wset]
-        self.held: list[dict[int, int]] = []   # lock -> re-entry depth
         # per lock
         self.lock_pred: list[tuple[int, ...] | None] = []
         self.lock_hb: list[tuple[int, ...] | None] = []
-        self.holder: list[int] = []
+        self.holder: list[int] = []            # owner, -1 if free
+        self.depth: list[int] = []             # flattened re-acquires still open
         self.log: list[list[list]] = []        # [owner, acq time, rel time | None]
         self.cursors: list[dict[int, int]] = []  # thread -> log index, 0 if absent
         # per (lock, var): [thread1, time1, thread2, time2] -- the latest
@@ -129,7 +136,7 @@ class WcpEngine:
         self.events_processed = 0
         self.reentrant_flattened = 0
         self.warnings: list[EngineWarning] = []
-        self.joined_unseen: set[int] = set()   # joined before their state exists
+        self.nstarted = 0
         self.queue_load = 0
         self.max_queue_load = 0
         self.total_entries = 0
@@ -148,16 +155,10 @@ class WcpEngine:
             row = [0] * (u + 1)
             row[u] = 1
             self.hbt.append(row)
-            self.pending.append(JOINED if u in self.joined_unseen else False)
+            self.pending.append(False)
             self.started.append(False)
             self.frames.append([])
-            self.held.append({})
             self._last_times.append(None)
-            # a fresh thread's cursors logically start at 0: the full log
-            # of every lock is still ahead of it
-            self.queue_load += self.total_entries
-            if self.queue_load > self.max_queue_load:
-                self.max_queue_load = self.queue_load
 
     def _ensure_lock(self, l: int) -> None:
         while self.nlocks <= l:
@@ -165,6 +166,7 @@ class WcpEngine:
             self.lock_pred.append(None)
             self.lock_hb.append(None)
             self.holder.append(-1)
+            self.depth.append(0)
             self.log.append([])
             self.cursors.append({})
 
@@ -176,7 +178,16 @@ class WcpEngine:
             n = self.local[t] + 1
             self.local[t] = n
             self.hbt[t][t] = n
+        if not self.started[t]:
+            self._start(t)
+
+    def _start(self, t: int) -> None:
+        # t's cursors all start at 0: the whole log of every lock is ahead of it
         self.started[t] = True
+        self.nstarted += 1
+        self.queue_load += self.total_entries
+        if self.queue_load > self.max_queue_load:
+            self.max_queue_load = self.queue_load
 
     def _refuse_if_joined(self, t: int) -> None:
         if self.pending[t] == JOINED:
@@ -192,34 +203,29 @@ class WcpEngine:
         False for a flattened re-entrant acquire; otherwise t now holds l."""
         self._ensure_thread(t)
         self._ensure_lock(l)
-        held = self.held[t]
-        d = held.get(l, 0)
-        if d:
+        owner = self.holder[l]
+        if owner == t:
             # re-entrant re-acquisition: flattened, not a logical acquire
             self._refuse_if_joined(t)
-            held[l] = d + 1
+            self.depth[l] += 1
             self.reentrant_flattened += 1
             return False
-        if self.holder[l] != -1:
-            raise EngineError(f"acquire of lock {l} already held by thread {self.holder[l]}",
+        if owner != -1:
+            raise EngineError(f"acquire of lock {l} already held by thread {owner}",
                               "DoubleAcquire")
         self._tick(t)
         self.holder[l] = t
-        held[l] = 1
         return True
 
     def _leave(self, t: int, l: int) -> list | None:
         """Lock discipline of a release, shared by both detectors.  Returns
         None for a flattened inner release; otherwise t's innermost section
         frame, popped, and l is free."""
-        self._ensure_thread(t)
-        held = self.held[t]
-        d = held.get(l, 0)
-        if d == 0:
+        if l >= self.nlocks or self.holder[l] != t:
             raise EngineError(f"release of lock {l} not held by thread {t}", "UnmatchedRelease")
-        if d > 1:
+        if self.depth[l]:
             self._refuse_if_joined(t)
-            held[l] = d - 1
+            self.depth[l] -= 1
             return None
         frames = self.frames[t]
         if not frames or frames[-1][0] != l:
@@ -227,7 +233,6 @@ class WcpEngine:
                               "BadNesting")
         self._tick(t)
         self.holder[l] = -1
-        del held[l]
         self.pending[t] = True
         return frames.pop()
 
@@ -246,7 +251,7 @@ class WcpEngine:
         entry_idx = len(self.log[l])
         self.log[l].append([t, snap, None])
         self.total_entries += 1
-        self.queue_load += self.nthreads - 1
+        self.queue_load += self.nstarted - 1
         if self.queue_load > self.max_queue_load:
             self.max_queue_load = self.queue_load
         self.frames[t].append([l, entry_idx, set(), set()])
@@ -357,12 +362,11 @@ class WcpEngine:
         return self._snap(t)
 
     def fork(self, t: int, u: int) -> tuple[int, ...]:
-        self._ensure_thread(t)
-        if u == t or (u < self.nthreads and self.started[u]):
+        self._ensure_thread(max(t, u))
+        if u == t or self.started[u]:
             raise EngineError(f"fork of already-active thread {u}", "ForkOfKnownThread")
         self._tick(t)
-        self._ensure_thread(u)
-        self.started[u] = True
+        self._start(u)
         # child starts HB-after the fork and inherits its WCP knowledge
         join_into(self.hbt[u], self.hbt[t])
         row = list(self.pred[t])
@@ -377,17 +381,14 @@ class WcpEngine:
         return snap
 
     def join(self, t: int, u: int) -> tuple[int, ...]:
-        self._ensure_thread(t)
+        self._ensure_thread(max(t, u))
         if u == t:
             raise EngineError("thread cannot join itself", "JoinOfLiveThread")
         self._tick(t)
         # u must never act again (the mark makes its next event raise), so
         # exporting its HB clock below ends its last granule
-        if u < self.nthreads:
-            self.pending[u] = JOINED
-        else:
-            self.joined_unseen.add(u)
-        if u >= self.nthreads or not self.started[u]:
+        self.pending[u] = JOINED
+        if not self.started[u]:
             self.warnings.append(EngineWarning("JoinOfUnknownThread",
                                                f"join of unknown thread {u} ignored"))
             return self._snap(t)

@@ -66,10 +66,26 @@ def test_stdin_is_strict_utf8(capsys, monkeypatch, command):
     stdin_bytes(monkeypatch, b"T1|w|x|a\xffb\n")
     code, out, err = run_cli(capsys, command, "-")
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "0xff" in err
+    assert err == "error: line 1: not valid UTF-8 (invalid start byte)\n"
     stdin_bytes(monkeypatch, "T1|w|x|caf\u00e9\n".encode())
     code, out, err = run_cli(capsys, command, "-")
     assert code == 0 and err.count("error") == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "oracle"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_non_utf8_names_its_line_from_stdin_and_files(capsys, monkeypatch, tmp_path,
+                                                      command, newline):
+    # the line number and reason do not depend on where the decoder's
+    # chunks end, nor on the kind of line ending
+    data = b"T1|w|x" + newline
+    data = data * 5000 + b"T1|w|x|a\xffb" + newline + data
+    bad = tmp_path / "bad.std"
+    bad.write_bytes(data)
+    expected = "error: line 5001: not valid UTF-8 (invalid start byte)\n"
+    assert run_cli(capsys, command, str(bad)) == (2, "", expected)
+    stdin_bytes(monkeypatch, data)
+    assert run_cli(capsys, command, "-") == (2, "", expected)
 
 
 def test_analyze_parse_error(capsys, tmp_path):

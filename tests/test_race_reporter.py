@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from test_wcp_engine import gen_forky
 
-from racepred.hb_engine import HbEngine
+from racepred.hb_engine import HbEngine, validate
 from racepred.race_reporter import (AccessClocks, MemoryBudgetExceeded,
                                     RacePair, check_access, render_flags,
                                     resolve_pairs, run_detector)
@@ -204,15 +205,27 @@ def with_sites(tr, rng, sites=3):
 
 
 def test_resolve_pairs_matches_leq_reference():
+    # over the whole input language: closed sections, sections left open,
+    # and fork/join
     rng = random.Random(11)
-    lines = 0
+    corpora = {"closed": [], "open": [], "forky": []}
     for seed in range(150):
-        tr = with_sites(gen_random(GenParams(threads=2 + seed % 5, locks=seed % 4,
-                                             vars=1 + seed % 3, events=40 + seed % 80,
-                                             p_lock=(0.2, 0.4)[seed % 2], seed=500 + seed)), rng)
-        for engine_cls in (WcpEngine, HbEngine):
-            pairs, _ = resolve_pairs(tr, detect(tr, engine_cls)[2], engine_cls)
-            got = [p.render(engine_cls.detector) for p in pairs]
-            assert got == reference_race_lines(tr, engine_cls), (seed, engine_cls.detector)
-            lines += len(got)
-    assert lines > 5000
+        params = GenParams(threads=2 + seed % 5, locks=seed % 4, vars=1 + seed % 3,
+                           events=40 + seed % 80, p_lock=(0.2, 0.4)[seed % 2], seed=500 + seed)
+        corpora["closed"].append(gen_random(params))
+        corpora["open"].append(gen_random(params, close_sections=False))
+        corpora["forky"].append(gen_forky(seed))
+    for kind, traces in corpora.items():
+        lines = checked = 0
+        for seed, tr in enumerate(traces):
+            tr = with_sites(tr, rng)
+            if not validate(tr).ok:
+                continue
+            checked += 1
+            for engine_cls in (WcpEngine, HbEngine):
+                pairs, _ = resolve_pairs(tr, detect(tr, engine_cls)[2], engine_cls)
+                got = [p.render(engine_cls.detector) for p in pairs]
+                assert got == reference_race_lines(tr, engine_cls), (kind, seed, engine_cls.detector)
+                lines += len(got)
+        assert checked > 100 and lines > {"closed": 5000, "open": 5000, "forky": 500}[kind], \
+            (kind, checked, lines)

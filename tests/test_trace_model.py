@@ -48,6 +48,16 @@ def test_parse_rejects_bad_ids():
         parse(["T 1|r|x"])
 
 
+def test_parse_rejects_bytes_that_are_not_utf8():
+    # open_trace turns such bytes into lone surrogates; comments count too
+    for lines, reason in ((["T1|w|x", "T1|w|x|a\udcffb"], "invalid start byte"),
+                          (["T1|w|x", "# caf\udcc3"], "unexpected end of data")):
+        with pytest.raises(ParseError) as exc:
+            parse(lines)
+        assert str(exc.value) == f"line 2: not valid UTF-8 ({reason})"
+    assert parse(["T1|w|x|caf\u00e9"]).events[0].loc == "caf\u00e9"
+
+
 def test_parse_skips_comments_and_blanks():
     tr = parse(["# header", "", "T1|w|x", "   ", "# done"])
     assert tr.n_events == 1
@@ -200,7 +210,7 @@ def test_validate_ok_implies_engines_accept():
         rep = validate(tr)
         accepted += rep.ok
         for engine_cls in (WcpEngine, HbEngine):
-            eng = engine_cls()
+            eng = engine_cls(invariant_checks=True)
             try:
                 for e in tr.events:
                     raised = e

@@ -374,3 +374,54 @@ def test_queue_metric_counts_foreign_sections():
     eng, _ = run(tr)
     # one section per thread on the same lock, neither drained by the other
     assert eng.max_queue_load == 2
+
+
+def test_queue_load_ignores_a_joined_thread_that_never_acts():
+    # T9 gets a row at the join but never starts, so only T3 has the one
+    # section left to drain, exactly as when T9 is never named
+    head = ["T1|acq|l", "T1|w|x", "T1|rel|l"]
+    for lines in (head + ["T1|join|T9", "T3|w|y"], head + ["T3|w|y"]):
+        eng, _ = run(parse_trace(lines))
+        assert eng.max_queue_load == 1, lines
+
+
+@pytest.mark.parametrize("lines", [
+    ["T1|fork|T2", "T1|acq|l", "T1|rel|l"],
+    ["T1|acq|l", "T1|rel|l", "T1|fork|T2"],
+])
+def test_queue_load_counts_a_forked_child_that_never_acts(lines):
+    # being forked starts a thread: T1's section is ahead of T2's cursor
+    eng, _ = run(parse_trace(lines))
+    assert eng.max_queue_load == 1
+
+
+@pytest.mark.parametrize("lines, idx, kind", [
+    (["T1|join|T2", "T2|w|x"], 1, "JoinOfLiveThread"),
+    (["T1|join|T2", "T3|w|y", "T2|w|x"], 2, "JoinOfLiveThread"),
+    (["T1|join|T2", "T1|fork|T2", "T2|w|x"], 2, "JoinOfLiveThread"),
+    (["T1|join|T2", "T3|acq|l", "T1|fork|T2", "T3|rel|l", "T2|acq|l"], 4, "JoinOfLiveThread"),
+    (["T1|join|T2", "T1|fork|T2", "T1|fork|T2"], 2, "ForkOfKnownThread"),
+    (["T1|join|T2", "T1|fork|T2", "T1|join|T2", "T2|rel|l"], 3, "UnmatchedRelease"),
+])
+def test_thread_joined_before_it_is_seen(lines, idx, kind):
+    # a join creates the joined thread's row and marks it: a fork of it is
+    # still allowed, and its first event raises; validate agrees
+    from racepred.hb_engine import HbEngine
+    tr = parse_trace(lines)
+    for engine_cls in (WcpEngine, HbEngine):
+        eng = engine_cls(invariant_checks=True)
+        for e in tr.events[:idx]:
+            eng.process(e)
+        with pytest.raises(EngineError) as exc:
+            eng.process(tr.events[idx])
+        assert exc.value.kind == kind
+    rep = validate(tr)
+    assert [(v.idx, v.kind) for v in rep.violations] == [(0, "JoinOfUnknownThread"), (idx, kind)]
+
+
+def test_release_of_unseen_lock_changes_nothing():
+    eng, _ = run(parse_trace(["T1|acq|l", "T1|w|x"]))
+    with pytest.raises(EngineError) as exc:
+        eng.release(0, 5)
+    assert exc.value.kind == "UnmatchedRelease"
+    assert (eng.nlocks, eng.holder, eng.depth) == (1, [0], [0])
