@@ -12,8 +12,8 @@ from .oracle import (BoundExceeded, OrderRelation, cp_le, cp_prec_closure,
 from .race_reporter import (AccessClocks, Flag, MemoryBudgetExceeded, RacePair,
                             check_access, resolve_pairs, run_detector)
 from .trace_model import (ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event,
-                          ParseError, Trace, TraceBuilder, conflicting,
-                          load_trace, parse_trace)
+                          ParseError, Trace, conflicting, load_trace,
+                          parse_trace)
 from .tracegen import (FIXTURE_NAMES, GenParams, fixture, fixtures,
                        gen_equality_trace, gen_random, iter_scaling)
 from .wcp_engine import EngineError, WcpEngine

@@ -19,6 +19,7 @@ streaming parse; validate then keeps no events either.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -28,7 +29,7 @@ from . import tracegen
 from .hb_engine import HbEngine, validate
 from .race_reporter import (AccessClocks, render_flags, resolve_pairs,
                             run_detector, summary_lines)
-from .trace_model import ParseError, TraceBuilder, iter_parse, load_trace, open_trace
+from .trace_model import ParseError, Trace, iter_parse, load_trace, open_trace
 from .vclock import render
 from .wcp_engine import EngineError, WcpEngine, named
 
@@ -40,13 +41,17 @@ INPUT_ERRORS = (ParseError, OSError)
 @contextmanager
 def _read_events(path: str):
     """Yields (trace, events): events parses the input as it is iterated
-    and keeps nothing, and trace's name tables fill in meanwhile."""
+    and keeps nothing, and trace's name tables and n_events grow meanwhile."""
     with open_trace(path) as f:
-        builder = TraceBuilder()
-        yield builder.build(), iter_parse(f, builder)
+        trace = Trace()
+        yield trace, iter_parse(f, trace)
 
 
 def _analyze(args: argparse.Namespace, out) -> int:
+    if (args.metrics and args.input != "-" and os.path.exists(args.metrics)
+            and os.path.exists(args.input) and os.path.samefile(args.metrics, args.input)):
+        print(f"error: metrics file {args.metrics} is the input trace", file=sys.stderr)
+        return 2
     # opened before pass 1, so that a bad path fails before any output
     with open(args.metrics, "w", encoding="utf-8") if args.metrics else nullcontext() as mf:
         return _analyze_into(args, out, mf)
@@ -91,7 +96,7 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
-    n_events, max_queue_load = engine.events_processed, engine.max_queue_load
+    max_queue_load = engine.max_queue_load
     flag_lists = [c.flags for c in (clocks, hb_clocks) if c is not None]
     # free pass-1 state, the engine's section logs above all, before pass 2 and output
     del engine, clocks, hb_clocks
@@ -101,7 +106,7 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
     if args.pairs and "wcp" in detectors:
         out.write("# note|wcp|only the first reported pair carries the soundness "
                   "guarantee; an unordered pair can also witness a predictable deadlock\n")
-    counts = (n_events, trace.n_threads, trace.n_locks, trace.n_vars)
+    counts = (trace.n_events, trace.n_threads, trace.n_locks, trace.n_vars)
     for det, det_flags in zip(detectors, flag_lists):
         pair_count = None
         if args.pairs:

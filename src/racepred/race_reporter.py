@@ -57,8 +57,6 @@ class Flag:
 
     idx: int
     var: int
-    kind: int
-    tid: int
     loc: str
 
 
@@ -146,9 +144,9 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = 
             raise
         if e.kind <= WRITE:
             if check_access(clocks, e.kind, e.op, (e.tid, c)):
-                flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
+                flags.append(Flag(e.idx, e.op, e.loc_or_default()))
             if hb is not None and check_access(hb, e.kind, e.op, (e.tid, engine.hbt[e.tid])):
-                hb.flags.append(Flag(e.idx, e.op, e.kind, e.tid, e.loc_or_default()))
+                hb.flags.append(Flag(e.idx, e.op, e.loc_or_default()))
         elif e.kind == JOIN and warnings and warnings[-1].event is None:
             warnings[-1].event = e      # only a join warns, at most once
         if dump is not None:
@@ -177,18 +175,17 @@ def resolve_pairs(trace: Trace, flags: list[Flag], engine_factory: Callable[[], 
     # (loc_a, loc_b) -> [count, min_distance, example, sound]
     agg: dict[tuple[str, str], list] = {}
 
-    def add_pair(loc1: str, i1: int, loc2: str, i2: int, sound: bool) -> None:
+    def add_pair(loc1: str, i1: int, loc2: str, i2: int) -> None:
         key = (loc1, loc2) if loc1 <= loc2 else (loc2, loc1)
         dist = i2 - i1
         rec = agg.get(key)
         if rec is None:
-            agg[key] = [1, dist, (i1, i2), sound]
+            agg[key] = [1, dist, (i1, i2), False]
         else:
             rec[0] += 1
             if dist < rec[1]:
                 rec[1] = dist
                 rec[2] = (i1, i2)
-            rec[3] = rec[3] or sound
 
     engine = engine_factory()
     for e in trace.events:
@@ -198,13 +195,13 @@ def resolve_pairs(trace: Trace, flags: list[Flag], engine_factory: Callable[[], 
         x = e.op
         if e.idx in flagged_at:
             if x in degraded:
-                add_pair("?", -1, e.loc_or_default(), e.idx, False)
+                add_pair("?", -1, e.loc_or_default(), e.idx)
             else:
                 latest = None
                 for i1, t1, k1, loc1, c1 in retained[x]:
                     if (t1 != e.tid and (k1 == WRITE or e.kind == WRITE)
                             and not leq(c1, c) and not leq(c, c1)):
-                        add_pair(loc1, i1, e.loc_or_default(), e.idx, False)
+                        add_pair(loc1, i1, e.loc_or_default(), e.idx)
                         latest = (i1, loc1)
                 if latest is not None and e.idx == first_flag_idx:
                     # the soundness guarantee covers the closest such pair

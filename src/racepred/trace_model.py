@@ -11,11 +11,15 @@ field is an opaque program-location string (everything after the third
 bar, so it may itself contain bars).
 
 Ids are interned to dense integers at parse time so the engines index
-arrays instead of hash tables on the hot path.  Parsing checks each line
-alone; whether the trace as a whole is well formed (lock discipline,
-fork/join) is decided by the engines' own checks, which validate (in
-hb_engine) runs over a stream of events.  Input is UTF-8: open_trace
-reads files and stdin alike, and parse_line names a line that is not.
+arrays instead of hash tables on the hot path; a name is checked against
+the id syntax once, when it is first interned.  One Trace holds the
+tables, the event count and, when add() makes them, the events: a
+streaming parse (iter_parse) grows the tables and count but keeps no
+events.  Parsing checks each line alone; whether the trace as a whole is
+well formed (lock discipline, fork/join) is decided by the engines' own
+checks, which validate (in hb_engine) runs over a stream of events.
+Input is UTF-8: open_trace reads files and stdin alike, and parse_line
+names a line that is not.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ READ, WRITE, ACQUIRE, RELEASE, FORK, JOIN = range(6)
 
 KIND_TOKEN = {READ: "r", WRITE: "w", ACQUIRE: "acq", RELEASE: "rel", FORK: "fork", JOIN: "join"}
 TOKEN_KIND = {tok: kind for kind, tok in KIND_TOKEN.items()}
+
+THREADS, LOCKS, VARS = range(3)     # name tables
+_OPERAND_TABLE = (VARS, VARS, LOCKS, LOCKS, THREADS, THREADS)   # by event kind
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.:$-]+\Z")
 
@@ -57,17 +64,19 @@ class Event:
 
 
 class Trace:
-    """An immutable event sequence plus the interning tables built with it."""
+    """Events, the name tables interned with them, and n_events, the count
+    of every event made.  add() keeps the event it makes; event() and
+    parse_line() do not, so a streaming parse keeps no events while its
+    tables and count still grow."""
 
-    def __init__(self, events, thread_names, lock_names, var_names):
-        self.events: list[Event] = events
-        self.thread_names: list[str] = thread_names
-        self.lock_names: list[str] = lock_names
-        self.var_names: list[str] = var_names
-
-    @property
-    def n_events(self) -> int:
-        return len(self.events)
+    def __init__(self) -> None:
+        self.events: list[Event] = []
+        self.n_events = 0
+        self.thread_names: list[str] = []
+        self.lock_names: list[str] = []
+        self.var_names: list[str] = []
+        self._names = (self.thread_names, self.lock_names, self.var_names)
+        self._ids: tuple[dict[str, int], ...] = ({}, {}, {})
 
     @property
     def n_threads(self) -> int:
@@ -85,11 +94,7 @@ class Trace:
         return self.events[idx].loc_or_default()
 
     def operand_name(self, e: Event) -> str:
-        if e.kind <= WRITE:
-            return self.var_names[e.op]
-        if e.kind <= RELEASE:
-            return self.lock_names[e.op]
-        return self.thread_names[e.op]
+        return self._names[_OPERAND_TABLE[e.kind]][e.op]
 
     def event_line(self, e: Event) -> str:
         line = f"{self.thread_names[e.tid]}|{KIND_TOKEN[e.kind]}|{self.operand_name(e)}"
@@ -101,54 +106,25 @@ class Trace:
         """STD text; parsing this back reproduces the trace byte-for-byte."""
         return "".join(self.event_line(e) + "\n" for e in self.events)
 
-
-class TraceBuilder:
-    """Interns names as they appear and numbers events; add() also keeps
-    each event for build(), parse_line() does not."""
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-        self.n_events = 0
-        self.thread_names: list[str] = []
-        self.lock_names: list[str] = []
-        self.var_names: list[str] = []
-        self._threads: dict[str, int] = {}
-        self._locks: dict[str, int] = {}
-        self._vars: dict[str, int] = {}
-
-    def intern_thread(self, name: str) -> int:
-        i = self._threads.get(name)
+    def intern(self, table: int, name: str, line_no: int = 0, field: str = "operand") -> int:
+        """name's dense index in table (THREADS, LOCKS or VARS), added when
+        first seen.  A name read from input line line_no is checked then,
+        and only then; names from generators (line_no 0) are not."""
+        ids = self._ids[table]
+        i = ids.get(name)
         if i is None:
-            i = len(self.thread_names)
-            self._threads[name] = i
-            self.thread_names.append(name)
+            if line_no and not _ID_RE.match(name):
+                raise ParseError(line_no, f"bad {field} id {name!r}")
+            names = self._names[table]
+            i = ids[name] = len(names)
+            names.append(name)
         return i
 
-    def intern_lock(self, name: str) -> int:
-        i = self._locks.get(name)
-        if i is None:
-            i = len(self.lock_names)
-            self._locks[name] = i
-            self.lock_names.append(name)
-        return i
-
-    def intern_var(self, name: str) -> int:
-        i = self._vars.get(name)
-        if i is None:
-            i = len(self.var_names)
-            self._vars[name] = i
-            self.var_names.append(name)
-        return i
-
-    def event(self, tid_name: str, kind: int, operand_name: str, loc: str | None = None) -> Event:
+    def event(self, tid_name: str, kind: int, operand_name: str, loc: str | None = None,
+              line_no: int = 0) -> Event:
         """The next event, with its names interned; not kept."""
-        t = self.intern_thread(tid_name)
-        if kind <= WRITE:
-            op = self.intern_var(operand_name)
-        elif kind <= RELEASE:
-            op = self.intern_lock(operand_name)
-        else:
-            op = self.intern_thread(operand_name)
+        t = self.intern(THREADS, tid_name, line_no, "thread")
+        op = self.intern(_OPERAND_TABLE[kind], operand_name, line_no)
         e = Event(self.n_events, t, kind, op, loc)
         self.n_events += 1
         return e
@@ -181,27 +157,20 @@ class TraceBuilder:
             raise ParseError(line_no, f"unknown op token {op_tok!r}")
         if not operand:
             raise ParseError(line_no, "empty operand")
-        if not _ID_RE.match(tid_name):
-            raise ParseError(line_no, f"bad thread id {tid_name!r}")
-        if not _ID_RE.match(operand):
-            raise ParseError(line_no, f"bad operand id {operand!r}")
-        return self.event(tid_name, kind, operand, loc)
-
-    def build(self) -> Trace:
-        return Trace(self.events, self.thread_names, self.lock_names, self.var_names)
+        return self.event(tid_name, kind, operand, loc, line_no)
 
 
 def parse_trace(lines: Iterable[str]) -> Trace:
-    b = TraceBuilder()
-    b.events.extend(iter_parse(lines, b))
-    return b.build()
+    trace = Trace()
+    trace.events.extend(iter_parse(lines, trace))
+    return trace
 
 
-def iter_parse(lines: Iterable[str], builder: TraceBuilder) -> Iterator[Event]:
-    """Streaming parse: yields events one by one while growing builder's
-    tables; neither keeps the events."""
+def iter_parse(lines: Iterable[str], trace: Trace) -> Iterator[Event]:
+    """Streaming parse: yields events one by one while growing trace's
+    tables and count; neither keeps the events."""
     for line_no, line in enumerate(lines, 1):
-        e = builder.parse_line(line, line_no)
+        e = trace.parse_line(line, line_no)
         if e is not None:
             yield e
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Trace, TraceBuilder
+from .trace_model import ACQUIRE, READ, RELEASE, THREADS, TOKEN_KIND, WRITE, Trace
 
 # (thread, op, operand) rows; op "sync"/"acrl" are expanded below.
 _FIXTURE_ROWS: dict[str, list[tuple[str, str, str]]] = {
@@ -77,35 +77,25 @@ _FIXTURE_ROWS: dict[str, list[tuple[str, str, str]]] = {
 FIXTURE_NAMES = tuple(_FIXTURE_ROWS)
 
 
-def _expand_row(b: TraceBuilder, tid: str, op: str, operand: str, loc: str) -> None:
-    if op == "sync":
-        b.add(tid, ACQUIRE, operand, loc)
-        b.add(tid, READ, operand + "Var", loc)
-        b.add(tid, WRITE, operand + "Var", loc)
-        b.add(tid, RELEASE, operand, loc)
-    elif op == "acrl":
-        b.add(tid, ACQUIRE, operand, loc)
-        b.add(tid, RELEASE, operand, loc)
-    elif op == "acq":
-        b.add(tid, ACQUIRE, operand, loc)
-    elif op == "rel":
-        b.add(tid, RELEASE, operand, loc)
-    elif op == "r":
-        b.add(tid, READ, operand, loc)
-    elif op == "w":
-        b.add(tid, WRITE, operand, loc)
-    else:
-        raise ValueError(f"unknown fixture op {op!r}")
+# row op -> the (kind, operand suffix) of each event it expands to
+_EXPANSION = {tok: ((kind, ""),) for tok, kind in TOKEN_KIND.items()}
+_EXPANSION["sync"] = ((ACQUIRE, ""), (READ, "Var"), (WRITE, "Var"), (RELEASE, ""))
+_EXPANSION["acrl"] = ((ACQUIRE, ""), (RELEASE, ""))
+
+
+def _expand_rows(name: str, rows: list[tuple[str, str, str]]) -> Trace:
+    trace = Trace()
+    for line, (tid, op, operand) in enumerate(rows, 1):
+        for kind, suffix in _EXPANSION[op]:
+            trace.add(tid, kind, operand + suffix, f"{name}:{line}")
+    return trace
 
 
 def fixture(name: str) -> Trace:
     rows = _FIXTURE_ROWS.get(name)
     if rows is None:
         raise KeyError(f"unknown fixture {name!r}, have {', '.join(FIXTURE_NAMES)}")
-    b = TraceBuilder()
-    for line, (tid, op, operand) in enumerate(rows, 1):
-        _expand_row(b, tid, op, operand, f"{name}:{line}")
-    return b.build()
+    return _expand_rows(name, rows)
 
 
 def fixtures() -> dict[str, Trace]:
@@ -156,11 +146,7 @@ def gen_equality_trace(u: str, v: str) -> Trace:
         rows += [("t2", "acq", "m"), ("t2", "rel", "m")]
     rows += [("t2", "w", "z")]
 
-    b = TraceBuilder()
-    name = f"eq{n}"
-    for line, (tid, op, operand) in enumerate(rows, 1):
-        _expand_row(b, tid, op, operand, f"{name}:{line}")
-    return b.build()
+    return _expand_rows(f"eq{n}", rows)
 
 
 @dataclass
@@ -177,6 +163,11 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.vars < 1:
+            raise ValueError("vars must be >= 1")
+        for name in ("locks", "events", "max_nesting"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for p in (self.p_lock, self.p_write):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0,1]")
@@ -193,33 +184,28 @@ def gen_random(params: GenParams, *, close_sections: bool = True) -> Trace:
     close_sections is False (robustness-testing mode).
     """
     rng = Random(params.seed)
-    b = TraceBuilder()
+    trace = Trace()
     tnames = [f"t{i}" for i in range(params.threads)]
     lnames = [f"l{i}" for i in range(params.locks)]
     vnames = [f"x{i}" for i in range(params.vars)]
     for name in tnames:
-        b.intern_thread(name)
+        trace.intern(THREADS, name)
 
     stacks: list[list[int]] = [[] for _ in range(params.threads)]
     holder: dict[int, int] = {}
     open_total = 0
     p_close = 0.4
 
-    def emit_access(t: int) -> None:
-        x = rng.randrange(params.vars) if params.vars else 0
-        kind = WRITE if rng.random() < params.p_write else READ
-        b.add(tnames[t], kind, vnames[x])
-
-    while len(b.events) + (open_total if close_sections else 0) < params.events:
+    while len(trace.events) + (open_total if close_sections else 0) < params.events:
         t = rng.randrange(params.threads)
         st = stacks[t]
         if st and rng.random() < p_close:
             l = st.pop()
             del holder[l]
             open_total -= 1
-            b.add(tnames[t], RELEASE, lnames[l])
+            trace.add(tnames[t], RELEASE, lnames[l])
             continue
-        budget_ok = len(b.events) + open_total + 2 <= params.events or not close_sections
+        budget_ok = len(trace.events) + open_total + 2 <= params.events or not close_sections
         if (params.locks and budget_ok and len(st) < params.max_nesting
                 and rng.random() < params.p_lock):
             free = [l for l in range(params.locks) if l not in holder]
@@ -228,23 +214,19 @@ def gen_random(params: GenParams, *, close_sections: bool = True) -> Trace:
                 holder[l] = t
                 st.append(l)
                 open_total += 1
-                b.add(tnames[t], ACQUIRE, lnames[l])
+                trace.add(tnames[t], ACQUIRE, lnames[l])
                 continue
-        if params.vars:
-            emit_access(t)
-        elif st:
-            l = st.pop()
-            del holder[l]
-            open_total -= 1
-            b.add(tnames[t], RELEASE, lnames[l])
+        x = rng.randrange(params.vars)
+        kind = WRITE if rng.random() < params.p_write else READ
+        trace.add(tnames[t], kind, vnames[x])
 
     if close_sections:
         for t in range(params.threads):
             while stacks[t]:
                 l = stacks[t].pop()
                 del holder[l]
-                b.add(tnames[t], RELEASE, lnames[l])
-    return b.build()
+                trace.add(tnames[t], RELEASE, lnames[l])
+    return trace
 
 
 def iter_scaling(n_events: int, threads: int = 8, locks: int = 32) -> Iterator[tuple[int, int, int]]:

@@ -133,7 +133,6 @@ class WcpEngine:
         self.read_rel_times: dict[tuple[int, int], list] = {}
         self.write_rel_times: dict[tuple[int, int], list] = {}
 
-        self.events_processed = 0
         self.reentrant_flattened = 0
         self.warnings: list[EngineWarning] = []
         self.nstarted = 0
@@ -404,25 +403,21 @@ class WcpEngine:
     def process(self, e: Event) -> tuple[int, ...]:
         """Dispatch one event (fed in trace order); returns its timestamp."""
         snap = self._DISPATCH[e.kind](self, e.tid, e.op)
-        self.events_processed += 1
         if self.invariant_checks:
             self._check_invariants(e.tid)
         return snap
 
     def _check_epoch(self, t: int, acq, ok: bool) -> None:
         if leq(acq, self._snap(t)) != ok:
-            raise EngineError(
-                f"epoch test disagrees with leq in the drain of thread {t} at event {self.events_processed}")
+            raise EngineError(f"epoch test disagrees with leq in the drain of thread {t}")
 
     def _check_invariants(self, t: int) -> None:
         p, h = self.pred[t], self.hbt[t]
         c = self._snap(t)
         if not leq(p, c) or not leq(c, h):
-            raise EngineError(
-                f"P <= C <= H violated for thread {t} at event {self.events_processed - 1}")
+            raise EngineError(f"P <= C <= H violated for thread {t}")
         prev = self._last_times[t]
         now = (tuple(p), c, tuple(h))
         if prev is not None and not all(leq(a, b) for a, b in zip(prev, now)):
-            raise EngineError(
-                f"thread-order monotonicity violated for thread {t} at event {self.events_processed - 1}")
+            raise EngineError(f"thread-order monotonicity violated for thread {t}")
         self._last_times[t] = now

@@ -15,7 +15,7 @@ from test_wcp_engine import gen_forky
 from racepred.hb_engine import HbEngine, validate
 from racepred.race_reporter import AccessClocks, check_access, run_detector
 from racepred.trace_model import (ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event,
-                                  TraceBuilder, parse_trace)
+                                  Trace, parse_trace)
 from racepred.tracegen import (GenParams, fixtures, gen_equality_trace, gen_random,
                                iter_scaling)
 from racepred.vclock import join_into, leq
@@ -133,7 +133,7 @@ def fork_join_traces(draw):
     built from a list of small choices so that a counterexample shrinks."""
     steps = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 1)),
                           max_size=50))
-    b = TraceBuilder()
+    b = Trace()
     alive, finished, spawned = ["t0"], [], 1
     stacks = {"t0": []}
     holder = {}
@@ -162,7 +162,7 @@ def fork_join_traces(draw):
             finished.append(t)
         else:
             b.add(t, READ if op % 2 == 0 else WRITE, f"x{operand}")
-    return b.build()
+    return b
 
 
 @settings(max_examples=300, deadline=None)

@@ -146,6 +146,17 @@ def test_analyze_metrics_file(capsys, tmp_path, fig_file):
     assert "time_s=" not in out    # timings never land on stdout
 
 
+def test_metrics_file_that_is_the_input_is_refused(capsys, fig_file):
+    trace = Path(fig_file("fig1b"))
+    before = trace.read_bytes()
+    # the same file under two spellings; opening it for the metrics would empty it
+    for metrics in (str(trace), f"{trace.parent}/./{trace.name}"):
+        code, out, err = run_cli(capsys, "analyze", "--metrics", metrics, str(trace))
+        assert (code, out) == (2, "")
+        assert err == f"error: metrics file {metrics} is the input trace\n"
+        assert trace.read_bytes() == before
+
+
 def test_analyze_dump_timestamps(capsys, fig_file):
     code, out, _ = run_cli(capsys, "analyze", "--dump-timestamps", fig_file("fig1b"))
     assert "0|t1|C=[1]|P=[0]|H=[1]" in out
@@ -277,6 +288,7 @@ def test_both_dump_order_does_not_depend_on_buffering(capsys, tmp_path):
     ["oracle", "{missing}"],
     ["analyze", "--metrics", "{missing}", "{good}"],
     ["generate", "--fixture", "fig1b", "-o", "{missing}"],
+    ["generate", "--random", "--vars", "0", "--locks", "0"],   # could emit no event
 ])
 def test_bad_input_or_path_is_one_error_line(capsys, tmp_path, fig_file, argv):
     bad = tmp_path / "bad.std"

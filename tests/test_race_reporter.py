@@ -7,7 +7,7 @@ from racepred.hb_engine import HbEngine, validate
 from racepred.race_reporter import (AccessClocks, MemoryBudgetExceeded,
                                     RacePair, check_access, render_flags,
                                     resolve_pairs, run_detector)
-from racepred.trace_model import KIND_TOKEN, READ, WRITE, TraceBuilder, parse_trace
+from racepred.trace_model import KIND_TOKEN, READ, WRITE, Trace, parse_trace
 from racepred.tracegen import GenParams, fixture, gen_random
 from racepred.vclock import leq
 from racepred.wcp_engine import WcpEngine
@@ -196,12 +196,12 @@ def reference_race_lines(tr, engine_cls):
 def with_sites(tr, rng, sites=3):
     """Copy of tr where each event gets one of a few locations per (op, operand),
     so that distinct events share locations, as in real logs."""
-    b = TraceBuilder()
+    b = Trace()
     for e in tr.events:
         operand = tr.operand_name(e)
         loc = f"{KIND_TOKEN[e.kind]}.{operand}:{rng.randrange(sites)}"
         b.add(tr.thread_names[e.tid], e.kind, operand, loc)
-    return b.build()
+    return b
 
 
 def test_resolve_pairs_matches_leq_reference():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from racepred.hb_engine import HbEngine, validate
 from racepred.trace_model import (ACQUIRE, READ, WRITE, Event, ParseError,
-                                  TraceBuilder, conflicting, iter_parse,
+                                  Trace, conflicting, iter_parse,
                                   parse_trace)
 from racepred.tracegen import GenParams, fixture, gen_random
 from racepred.wcp_engine import EngineError, WcpEngine
@@ -46,6 +46,19 @@ def test_parse_rejects_empty_operand_and_short_lines():
 def test_parse_rejects_bad_ids():
     with pytest.raises(ParseError):
         parse(["T 1|r|x"])
+    # after good lines, so that their names are interned and the bad ones new
+    good = ["T1|w|x", "T1|acq|l", "T1|rel|l", "T1|fork|T2"]
+    for line, reason in (("T 1|r|x", "bad thread id 'T 1'"),
+                         ("|r|x", "bad thread id ''"),
+                         ("T 1|r|x y", "bad thread id 'T 1'"),     # the thread is checked first
+                         ("T1|w|x y", "bad operand id 'x y'"),
+                         ("T1|acq|l!", "bad operand id 'l!'"),
+                         ("T1|fork|T 2", "bad operand id 'T 2'"),  # fork and join operands
+                         ("T1|join|T 2", "bad operand id 'T 2'"),  # are threads
+                         ("T 1|r|", "empty operand")):             # checked before any name
+        with pytest.raises(ParseError) as exc:
+            parse(good + [line])
+        assert str(exc.value) == f"line 5: {reason}"
 
 
 def test_parse_rejects_bytes_that_are_not_utf8():
@@ -70,12 +83,13 @@ def test_iter_parse_keeps_no_events():
         return sum(type(o) is Event for o in gc.get_objects())
 
     lines = ["# header", ""] + fixture("fig3").serialize().splitlines() * 40
-    b = TraceBuilder()
+    b = Trace()
     before = live_events()
     idxs = [e.idx for e in iter_parse(lines, b)]
     assert live_events() == before
     assert idxs == list(range(len(lines) - 2))
     assert b.thread_names == ["t1", "t2", "t3"]
+    assert b.n_events == len(idxs) and b.events == []
 
 
 def test_loc_may_contain_bars():

@@ -72,10 +72,12 @@ def test_gen_random_dangling_mode():
 
 
 def test_gen_params_validation():
-    with pytest.raises(ValueError):
-        GenParams(threads=0)
-    with pytest.raises(ValueError):
-        GenParams(p_lock=1.5)
+    for kwargs in ({"threads": 0}, {"p_lock": 1.5},
+                   # no access could be emitted, so gen_random would never return
+                   {"vars": 0, "locks": 0}, {"vars": 0, "locks": 2, "events": 41},
+                   {"vars": -1}, {"locks": -1}, {"events": -1}, {"max_nesting": -1}):
+        with pytest.raises(ValueError):
+            GenParams(**kwargs)
 
 
 def test_equality_trace_shapes_and_errors():

@@ -144,10 +144,10 @@ def gen_forky(seed):
     children joined after their fork)."""
     import random
 
-    from racepred.trace_model import FORK, JOIN, READ, WRITE, ACQUIRE, RELEASE, TraceBuilder
+    from racepred.trace_model import FORK, JOIN, READ, WRITE, ACQUIRE, RELEASE, Trace
 
     rng = random.Random(seed)
-    b = TraceBuilder()
+    b = Trace()
     alive, finished = ["t0"], []
     unspawned = [f"t{i}" for i in range(1, 1 + rng.randrange(1, 4))]
     stacks = {"t0": []}
@@ -185,7 +185,7 @@ def gen_forky(seed):
             l = stacks[t].pop()
             del holder[l]
             b.add(t, RELEASE, l)
-    return b.build()
+    return b
 
 
 def test_fork_join_random_differential():
@@ -335,8 +335,9 @@ def test_bad_nesting_rejected():
 
 
 def test_empty_trace():
-    eng, stamps = run(parse_trace([]))
-    assert stamps == [] and eng.max_queue_load == 0 and eng.events_processed == 0
+    tr = parse_trace([])
+    eng, stamps = run(tr)
+    assert stamps == [] and eng.max_queue_load == 0 and tr.n_events == 0
 
 
 def test_determinism():
