@@ -6,11 +6,11 @@ on small traces).  analyze exits 0 when no races were found, 1 when some
 were, 2 on errors; everything written to stdout is deterministic for a
 given input and configuration (timings go to stderr or the metrics file).
 
-analyze makes one pass 1 through run_detector with one engine: HbEngine
-for --detector hb, and WcpEngine for wcp and for both, where the hb
-detector race-checks the WCP engine's HB clock.  Without --pairs it
-streams and keeps no events; --pairs frees the pass-1 engine, then
-replays the buffered trace once per detector in pass 2.  Engine errors
+analyze streams the input through run_detector with one engine, keeping
+no events: HbEngine for --detector hb, and WcpEngine for wcp and for
+both, where the hb detector race-checks the WCP engine's HB clock.  With
+--pairs each detector keeps one record per access, and pass 2 resolves
+its pairs from them once the engine is freed.  Engine errors
 and warnings name the event and its STD line, and threads and locks by
 their trace names.  analyze and validate read the input through one
 streaming parse; validate then keeps no events either.
@@ -47,9 +47,17 @@ def _read_events(path: str):
         yield trace, iter_parse(f, trace)
 
 
+def _is_input(metrics: str, path: str) -> bool:
+    """metrics is the input trace's file: path's, or stdin's for -."""
+    try:
+        stat = os.fstat(sys.stdin.fileno()) if path == "-" else os.stat(path)
+        return os.path.samestat(stat, os.stat(metrics))
+    except (OSError, ValueError):   # a missing file, or a stdin with no file
+        return False
+
+
 def _analyze(args: argparse.Namespace, out) -> int:
-    if (args.metrics and args.input != "-" and os.path.exists(args.metrics)
-            and os.path.exists(args.input) and os.path.samefile(args.metrics, args.input)):
+    if args.metrics and _is_input(args.metrics, args.input):
         print(f"error: metrics file {args.metrics} is the input trace", file=sys.stderr)
         return 2
     # opened before pass 1, so that a bad path fails before any output
@@ -63,8 +71,7 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
     # One pass-1 engine per run: under both, the hb detector race-checks the
     # WCP engine's HB clock, which equals HbEngine's timestamp at every event.
     engine = (HbEngine if args.detector == "hb" else WcpEngine)()
-    clocks = AccessClocks()
-    hb_clocks = AccessClocks() if args.detector == "both" else None
+    clocks = [AccessClocks(records=[] if args.pairs else None) for _ in detectors]
 
     def dump(e, c, eng):
         t = e.tid
@@ -81,11 +88,8 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
     error = ""
     try:
         with _read_events(args.input) as (trace, events):
-            if args.pairs:
-                trace.events.extend(events)
-                events = trace.events
-            run_detector(events, engine, clocks, dump if args.dump_timestamps else None,
-                         hb_clocks)
+            run_detector(events, engine, clocks[0], dump if args.dump_timestamps else None,
+                         *clocks[1:])
     except EngineError as exc:
         error = at_event(exc.event, str(exc))
     except INPUT_ERRORS as exc:
@@ -95,11 +99,12 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - t0
     max_queue_load = engine.max_queue_load
-    flag_lists = [c.flags for c in (clocks, hb_clocks) if c is not None]
-    # free pass-1 state, the engine's section logs above all, before pass 2 and output
-    del engine, clocks, hb_clocks
+    del engine      # free its section logs before pass 2 and output
+    reports = [(det, c.flags, resolve_pairs(trace, c, args.pair_budget) if args.pairs else None)
+               for det, c in zip(detectors, clocks)]
+    del clocks      # and the access records before output
+    elapsed = time.perf_counter() - t0
 
     any_race = False
     metrics_lines: list[str] = []
@@ -107,11 +112,10 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
         out.write("# note|wcp|only the first reported pair carries the soundness "
                   "guarantee; an unordered pair can also witness a predictable deadlock\n")
     counts = (trace.n_events, trace.n_threads, trace.n_locks, trace.n_vars)
-    for det, det_flags in zip(detectors, flag_lists):
+    for det, det_flags, resolved in reports:
         pair_count = None
-        if args.pairs:
-            pairs, notes = resolve_pairs(trace, det_flags, HbEngine if det == "hb" else WcpEngine,
-                                         pair_budget=args.pair_budget)
+        if resolved is not None:
+            pairs, notes = resolved
             for note in notes:
                 out.write(f"# note|{det}|{note}\n")
             for p in pairs:
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("input", help="trace file in STD format, or - for stdin")
     a.add_argument("--detector", choices=["wcp", "hb", "both"], default="wcp")
     a.add_argument("--pairs", action="store_true",
-                   help="second pass: resolve full race pairs (buffers the trace)")
+                   help="resolve full race pairs from one record kept per access")
     a.add_argument("--pair-budget", type=_non_negative, default=10_000_000)
     a.add_argument("--dump-timestamps", action="store_true")
     a.add_argument("--metrics", metavar="FILE", default=None)

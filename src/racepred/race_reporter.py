@@ -10,9 +10,10 @@ thread and timestamp, while its accesses are totally ordered; since both
 engines' timestamps are epochs, "ordered before c" is then C[u] <= c[u].
 Otherwise it is their join, compared with leq.
 
-Pass 2 (optional) replays the trace through a fresh engine, retaining
-every access to a flagged variable, and at each flagged event emits one
-pair per earlier conflicting access with an incomparable timestamp.
+Pass 2 (optional) walks the access records that pass 1 kept, in trace
+order, retaining every access to a flagged variable; at each flagged
+access it emits one pair per earlier conflicting access with an
+incomparable timestamp, without an engine.
 Pairs are deduplicated by their unordered program-location pair, with a
 count, minimum event-index separation, and one example pair of indices.
 Only the first flagged pair is guaranteed to be a real race (an
@@ -23,8 +24,8 @@ sound and the rest heuristic.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .trace_model import JOIN, Event, Trace, READ, WRITE
 from .vclock import join_into, leq
@@ -39,16 +40,13 @@ class MemoryBudgetExceeded(Warning):
 @dataclass
 class AccessClocks:
     """Per-variable read and write histories, epochs or joins (see
-    check_access), and the flags that run_detector raised against them."""
+    check_access), the flags that run_detector raised against them and, if
+    records is a list, one (idx, tid, kind, var, loc, C) record per access."""
 
-    reads: dict[int, tuple | list[int]]
-    writes: dict[int, tuple | list[int]]
-    flags: list[Flag]
-
-    def __init__(self) -> None:
-        self.reads = {}
-        self.writes = {}
-        self.flags = []
+    reads: dict[int, tuple | list[int]] = field(default_factory=dict)
+    writes: dict[int, tuple | list[int]] = field(default_factory=dict)
+    flags: list[Flag] = field(default_factory=list)
+    records: list[tuple] | None = None
 
 
 @dataclass(slots=True)
@@ -121,7 +119,7 @@ def check_access(clocks: AccessClocks, kind: int, x: int, ep) -> bool:
     return flagged
 
 
-def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = None,
+def run_detector(events: Iterable[Event], engine, clocks: AccessClocks,
                  dump=None, hb: AccessClocks | None = None) -> list[Flag]:
     """Pass 1: feed events, in trace order, through one engine and race-check
     each access's timestamp against clocks.  Returns clocks.flags, in
@@ -129,12 +127,10 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = 
 
     hb, given with a WcpEngine, race-checks each access's HB time
     engine.hbt[tid] against hb in the same pass, into hb.flags: the HB
-    detector's flags without an HB engine.  dump, if given, is called with
-    (event, C, engine) after each event (timestamp dumps).  An EngineError
-    or EngineWarning gets its event set."""
-    if clocks is None:
-        clocks = AccessClocks()
-    flags = clocks.flags
+    detector's flags without an HB engine; its records hold that time.
+    dump, if given, is called with (event, C, engine) after each event
+    (timestamp dumps).  An EngineError or EngineWarning gets its event set."""
+    flags, records = clocks.flags, clocks.records
     warnings = engine.warnings
     for e in events:
         try:
@@ -145,8 +141,14 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = 
         if e.kind <= WRITE:
             if check_access(clocks, e.kind, e.op, (e.tid, c)):
                 flags.append(Flag(e.idx, e.op, e.loc_or_default()))
-            if hb is not None and check_access(hb, e.kind, e.op, (e.tid, engine.hbt[e.tid])):
-                hb.flags.append(Flag(e.idx, e.op, e.loc_or_default()))
+            if records is not None:
+                records.append((e.idx, e.tid, e.kind, e.op, e.loc_or_default(), c))
+            if hb is not None:
+                h = tuple(engine.hbt[e.tid])
+                if check_access(hb, e.kind, e.op, (e.tid, h)):
+                    hb.flags.append(Flag(e.idx, e.op, e.loc_or_default()))
+                if hb.records is not None:
+                    hb.records.append((e.idx, e.tid, e.kind, e.op, e.loc_or_default(), h))
         elif e.kind == JOIN and warnings and warnings[-1].event is None:
             warnings[-1].event = e      # only a join warns, at most once
         if dump is not None:
@@ -154,28 +156,27 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks | None = 
     return flags
 
 
-def resolve_pairs(trace: Trace, flags: list[Flag], engine_factory: Callable[[], object],
+def resolve_pairs(trace: Trace, clocks: AccessClocks,
                   pair_budget: int = 10_000_000) -> tuple[list[RacePair], list[str]]:
-    """Second pass: replay and resolve every flag into full location pairs.
+    """Pass 2: resolve every flag in clocks into full location pairs, from
+    its access records.
 
     Retains accesses only for flagged variables.  If total retention
     exceeds pair_budget, the variable that hit the cap degrades: its
     flags are reported with an unknown first component.  Deterministic
-    and idempotent for a given trace and flag list.
+    and idempotent for given records and flags.
     """
     notes: list[str] = []
-    if not flags:
-        return [], notes
-    flagged_vars = {f.var for f in flags}
-    flagged_at = {f.idx for f in flags}
-    first_flag_idx = min(flagged_at)
-    retained: dict[int, list[tuple[int, int, int, str, tuple]]] = {x: [] for x in flagged_vars}
+    flagged_vars = {f.var for f in clocks.flags}
+    flagged_at = {f.idx for f in clocks.flags}
+    first_flag_idx = min(flagged_at, default=None)
+    retained: dict[int, list[tuple]] = {x: [] for x in flagged_vars}
     degraded: set[int] = set()
     budget_used = 0
     # (loc_a, loc_b) -> [count, min_distance, example, sound]
     agg: dict[tuple[str, str], list] = {}
 
-    def add_pair(loc1: str, i1: int, loc2: str, i2: int) -> None:
+    def add_pair(loc1: str, i1: int, loc2: str, i2: int) -> tuple[str, str]:
         key = (loc1, loc2) if loc1 <= loc2 else (loc2, loc1)
         dist = i2 - i1
         rec = agg.get(key)
@@ -186,37 +187,31 @@ def resolve_pairs(trace: Trace, flags: list[Flag], engine_factory: Callable[[], 
             if dist < rec[1]:
                 rec[1] = dist
                 rec[2] = (i1, i2)
+        return key
 
-    engine = engine_factory()
-    for e in trace.events:
-        c = engine.process(e)
-        if e.kind > WRITE or e.op not in flagged_vars:
+    for record in clocks.records:
+        idx, tid, kind, x, loc, c = record
+        if x not in flagged_vars:
             continue
-        x = e.op
-        if e.idx in flagged_at:
+        if idx in flagged_at:
             if x in degraded:
-                add_pair("?", -1, e.loc_or_default(), e.idx)
+                add_pair("?", -1, loc, idx)
             else:
                 latest = None
-                for i1, t1, k1, loc1, c1 in retained[x]:
-                    if (t1 != e.tid and (k1 == WRITE or e.kind == WRITE)
+                for i1, t1, k1, _, loc1, c1 in retained[x]:
+                    if (t1 != tid and (k1 == WRITE or kind == WRITE)
                             and not leq(c1, c) and not leq(c, c1)):
-                        add_pair(loc1, i1, e.loc_or_default(), e.idx)
-                        latest = (i1, loc1)
-                if latest is not None and e.idx == first_flag_idx:
-                    # the soundness guarantee covers the closest such pair
-                    i1, loc1 = latest
-                    key = (loc1, e.loc_or_default())
-                    key = key if key[0] <= key[1] else (key[1], key[0])
-                    agg[key][3] = True
+                        latest = add_pair(loc1, i1, loc, idx)
+                if latest is not None and idx == first_flag_idx:
+                    agg[latest][3] = True   # the guarantee covers the closest such pair
         if x not in degraded:
-            retained[x].append((e.idx, e.tid, e.kind, e.loc_or_default(), c))
+            retained[x].append(record)
             budget_used += 1
             if budget_used > pair_budget:
                 budget_used -= len(retained[x])
                 retained[x] = []
                 degraded.add(x)
-                msg = (f"pair budget {pair_budget} exceeded at event {e.idx}; "
+                msg = (f"pair budget {pair_budget} exceeded at event {idx}; "
                        f"races on variable {trace.var_names[x]} degraded to second components")
                 notes.append(msg)
                 _warnings.warn(msg, MemoryBudgetExceeded)

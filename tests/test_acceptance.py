@@ -26,8 +26,9 @@ def _flags(tr, engine_cls, **kw):
 
 
 def _pairs(tr, engine_cls):
-    flags = _flags(tr, engine_cls)
-    pairs, _ = resolve_pairs(tr, flags, engine_cls)
+    clocks = AccessClocks(records=[])
+    run_detector(tr.events, engine_cls(), clocks)
+    pairs, _ = resolve_pairs(tr, clocks)
     return {(p.loc_a, p.loc_b) for p in pairs}
 
 

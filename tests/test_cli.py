@@ -1,5 +1,10 @@
 import io
+import os
+import random
 import re
+import subprocess
+import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -8,8 +13,11 @@ from test_wcp_engine import gen_forky
 
 from racepred import cli, wcp_engine
 from racepred.cli import build_parser, main
-from racepred.race_reporter import MemoryBudgetExceeded
+from racepred.race_reporter import MemoryBudgetExceeded, RacePair
 from racepred.tracegen import GenParams, fixture, gen_random
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -157,6 +165,72 @@ def test_metrics_file_that_is_the_input_is_refused(capsys, fig_file):
         assert trace.read_bytes() == before
 
 
+def test_metrics_file_that_stdin_reads_is_refused(fig_file):
+    # analyze --metrics FILE - < FILE: the input is known only by its file status
+    trace = Path(fig_file("fig1b"))
+    before = trace.read_bytes()
+    with open(trace, "rb") as stdin:
+        proc = subprocess.run([sys.executable, "-m", "racepred.cli", "analyze", "--metrics",
+                               str(trace), "-"], stdin=stdin, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: metrics file {trace} is the input trace\n"
+    assert trace.read_bytes() == before
+
+
+def test_time_s_covers_pair_resolution_not_output(capsys, monkeypatch, tmp_path, fig_file):
+    resolve, render = cli.resolve_pairs, RacePair.render
+
+    def slow_resolve(*args, **kwargs):
+        time.sleep(0.3)
+        return resolve(*args, **kwargs)
+
+    def slow_render(*args, **kwargs):
+        time.sleep(1.5)
+        return render(*args, **kwargs)
+    monkeypatch.setattr(cli, "resolve_pairs", slow_resolve)
+    monkeypatch.setattr(RacePair, "render", slow_render)
+    mpath = tmp_path / "metrics.txt"
+    code, out, err = run_cli(capsys, "analyze", "--pairs", "--metrics", str(mpath),
+                             fig_file("fig1b"))
+    assert code == 1 and out.count("RACE|") == 1
+    (line,) = [l for l in err.splitlines() if l.startswith("time_s=")]
+    assert line in mpath.read_text().splitlines()
+    assert 0.3 <= float(line.split("=")[1]) < 1.5
+
+
+def malformed_traces(rng, count):
+    """Seeded malformed inputs: valid traces with a few lines corrupted, so that
+    engine errors, parse errors and warnings fall anywhere in the input."""
+    bad_lines = ["T1|bogus|x", "T1|rel|l0", "T9|join|T8", "T1|acq|l0", "T2|fork|T1",
+                 "T1|w", "|w|x", "T1|w|x|", "T3|rel|l1", "T1|join|T1"]
+    for seed in range(count):
+        params = GenParams(threads=2 + seed % 3, locks=1 + seed % 2, vars=2, events=20 + seed % 30,
+                           seed=900 + seed)
+        lines = gen_random(params).serialize().splitlines()
+        for _ in range(1 + seed % 3):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(bad_lines))
+        yield "\n".join(lines) + "\n"
+
+
+def test_pairs_reports_the_same_errors_as_streaming(capsys, tmp_path):
+    # --pairs reads its input as streaming mode does, so the first fault in
+    # the input decides the exit code and stderr, whichever kind it is
+    rng = random.Random(21)
+    path = tmp_path / "bad.std"
+    codes = set()
+    for i, text in enumerate(malformed_traces(rng, 60)):
+        path.write_text(text)
+        for detector in ("wcp", "hb", "both"):
+            runs = []
+            for mode in ([], ["--pairs"]):
+                code, _, err = run_cli(capsys, "analyze", "--detector", detector, *mode, str(path))
+                runs.append((code, [l for l in err.splitlines() if not l.startswith("time_s=")]))
+            assert runs[0] == runs[1], (i, detector, text)
+            codes.add(runs[0][0])
+    assert codes == {1, 2}
+
+
 def test_analyze_dump_timestamps(capsys, fig_file):
     code, out, _ = run_cli(capsys, "analyze", "--dump-timestamps", fig_file("fig1b"))
     assert "0|t1|C=[1]|P=[0]|H=[1]" in out
@@ -264,10 +338,25 @@ def test_both_builds_one_pass_one_engine(capsys, monkeypatch, fig_file):
     built.clear()
     run_cli(capsys, "analyze", "--detector", "hb", fig_file("fig1b"))
     assert built == ["HbEngine"]
+    # --pairs resolves its pairs from pass-1 records: no second engine, no events kept
+    traces = []
+    resolve = cli.resolve_pairs
+
+    def recording_resolve(trace, *args, **kwargs):
+        traces.append(trace)
+        return resolve(trace, *args, **kwargs)
+    monkeypatch.setattr(cli, "resolve_pairs", recording_resolve)
+    for detector, engines in (("both", ["WcpEngine"]), ("hb", ["HbEngine"]),
+                              ("wcp", ["WcpEngine"])):
+        built.clear()
+        code, out, _ = run_cli(capsys, "analyze", "--detector", detector, "--pairs",
+                               fig_file("fig1b"))
+        assert built == engines and out.count("pairs=") == (2 if detector == "both" else 1)
+    assert len(traces) == 4 and all(trace.events == [] for trace in traces)
 
 
 def test_both_dump_order_does_not_depend_on_buffering(capsys, tmp_path):
-    # per event, the WCP line and then its HB line, streaming or buffered;
+    # per event, the WCP line and then its HB line, with or without --pairs;
     # the reports after the timestamp lines differ, so only those compare
     strip = lambda text: [l for l in text.splitlines() if l[:1].isdigit() or l.startswith("HB|")]
     for path in random_and_forky_traces(tmp_path)[::4]:

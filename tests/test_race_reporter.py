@@ -15,7 +15,7 @@ from racepred.wcp_engine import WcpEngine
 
 def detect(tr, engine_cls=WcpEngine):
     eng = engine_cls()
-    clocks = AccessClocks()
+    clocks = AccessClocks(records=[])
     flags = run_detector(tr.events, eng, clocks)
     return eng, clocks, flags
 
@@ -57,8 +57,8 @@ def test_flags_fold_unconditionally():
 
 def test_resolve_pairs_fig1b():
     tr = fixture("fig1b")
-    _, _, flags = detect(tr)
-    pairs, notes = resolve_pairs(tr, flags, WcpEngine)
+    _, clocks, flags = detect(tr)
+    pairs, notes = resolve_pairs(tr, clocks)
     assert notes == []
     assert len(pairs) == 1
     p = pairs[0]
@@ -69,33 +69,33 @@ def test_resolve_pairs_fig1b():
 
 def test_resolve_pairs_fig4_wcp_vs_hb():
     tr = fixture("fig4")
-    _, _, wflags = detect(tr)
-    wpairs, _ = resolve_pairs(tr, wflags, WcpEngine)
+    _, wclocks, _ = detect(tr)
+    wpairs, _ = resolve_pairs(tr, wclocks)
     assert {(p.loc_a, p.loc_b) for p in wpairs} == {("fig4:15", "fig4:4")}
-    _, _, hflags = detect(tr, HbEngine)
-    hpairs, _ = resolve_pairs(tr, hflags, HbEngine)
+    _, hclocks, _ = detect(tr, HbEngine)
+    hpairs, _ = resolve_pairs(tr, hclocks)
     assert hpairs == []
 
 
 def test_no_flags_no_pairs():
     tr = fixture("fig1a")
-    pairs, notes = resolve_pairs(tr, [], WcpEngine)
+    pairs, notes = resolve_pairs(tr, AccessClocks(records=[]))
     assert pairs == [] and notes == []
 
 
 def test_resolve_idempotent():
     tr = fixture("fig1b")
-    _, _, flags = detect(tr)
-    a = resolve_pairs(tr, flags, WcpEngine)
-    b = resolve_pairs(tr, flags, WcpEngine)
+    _, clocks, _ = detect(tr)
+    a = resolve_pairs(tr, clocks)
+    b = resolve_pairs(tr, clocks)
     assert a == b
 
 
 def test_pair_budget_degrades_with_warning():
     tr = fixture("fig1b")
-    _, _, flags = detect(tr)
+    _, clocks, _ = detect(tr)
     with pytest.warns(MemoryBudgetExceeded):
-        pairs, notes = resolve_pairs(tr, flags, WcpEngine, pair_budget=0)
+        pairs, notes = resolve_pairs(tr, clocks, pair_budget=0)
     assert notes and "degraded" in notes[0]
     assert len(pairs) == 1
     assert pairs[0].loc_a == "?" and pairs[0].sound is False
@@ -108,9 +108,9 @@ def test_sound_only_on_first_pair():
         "T2|r|a|La2", "T2|r|b|Lb2",
     ]
     tr = parse_trace(lines)
-    _, _, flags = detect(tr)
+    _, clocks, flags = detect(tr)
     assert [f.idx for f in flags] == [2, 3]
-    pairs, _ = resolve_pairs(tr, flags, WcpEngine)
+    pairs, _ = resolve_pairs(tr, clocks)
     by_locs = {(p.loc_a, p.loc_b): p for p in pairs}
     assert by_locs[("La1", "La2")].sound is True
     assert by_locs[("Lb1", "Lb2")].sound is False
@@ -123,9 +123,9 @@ def test_counts_and_min_distance_aggregate_by_location():
         "T1|w|x|W", "T2|r|x|R",
     ]
     tr = parse_trace(lines)
-    _, _, flags = detect(tr)
+    _, clocks, flags = detect(tr)
     assert [f.idx for f in flags] == [1, 2, 3]
-    pairs, _ = resolve_pairs(tr, flags, WcpEngine)
+    pairs, _ = resolve_pairs(tr, clocks)
     assert len(pairs) == 1
     p = pairs[0]
     assert (p.loc_a, p.loc_b) == ("R", "W")
@@ -223,9 +223,14 @@ def test_resolve_pairs_matches_leq_reference():
                 continue
             checked += 1
             for engine_cls in (WcpEngine, HbEngine):
-                pairs, _ = resolve_pairs(tr, detect(tr, engine_cls)[2], engine_cls)
+                pairs, _ = resolve_pairs(tr, detect(tr, engine_cls)[1])
                 got = [p.render(engine_cls.detector) for p in pairs]
                 assert got == reference_race_lines(tr, engine_cls), (kind, seed, engine_cls.detector)
                 lines += len(got)
+            # --detector both: the hb pairs come from records of WcpEngine.hbt
+            hb = AccessClocks(records=[])
+            run_detector(tr.events, WcpEngine(), AccessClocks(), hb=hb)
+            got = [p.render("hb") for p in resolve_pairs(tr, hb)[0]]
+            assert got == reference_race_lines(tr, HbEngine), (kind, seed, "both")
         assert checked > 100 and lines > {"closed": 5000, "open": 5000, "forky": 500}[kind], \
             (kind, checked, lines)
