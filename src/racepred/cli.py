@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 import time
 from contextlib import contextmanager, nullcontext
 
@@ -60,12 +62,15 @@ def _analyze(args: argparse.Namespace, out) -> int:
     if args.metrics and _is_input(args.metrics, args.input):
         print(f"error: metrics file {args.metrics} is the input trace", file=sys.stderr)
         return 2
-    # opened before pass 1, so that a bad path fails before any output
-    with open(args.metrics, "w", encoding="utf-8") if args.metrics else nullcontext() as mf:
-        return _analyze_into(args, out, mf)
+    # opened before pass 1, so that a bad path fails before any output; the
+    # timestamp dump waits in a temporary file until pass 1 has succeeded
+    with (open(args.metrics, "w", encoding="utf-8") if args.metrics else nullcontext() as mf,
+          tempfile.TemporaryFile("w+", encoding="utf-8") if args.dump_timestamps
+          else nullcontext() as dumped):
+        return _analyze_into(args, out, mf, dumped)
 
 
-def _analyze_into(args: argparse.Namespace, out, mf) -> int:
+def _analyze_into(args: argparse.Namespace, out, mf, dumped) -> int:
     detectors = ["wcp", "hb"] if args.detector == "both" else [args.detector]
     t0 = time.perf_counter()
     # One pass-1 engine per run: under both, the hb detector race-checks the
@@ -77,10 +82,10 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
         t = e.tid
         name = trace.thread_names[t]
         if args.detector != "hb":
-            out.write(f"{e.idx}|{name}|C={render(c)}|P={render(eng.pred[t])}"
-                      f"|H={render(eng.hbt[t])}\n")
+            dumped.write(f"{e.idx}|{name}|C={render(c)}|P={render(eng.pred[t])}"
+                         f"|H={render(eng.hbt[t])}\n")
         if args.detector != "wcp":
-            out.write(f"HB|{e.idx}|{name}|C={render(eng.hbt[t])}\n")
+            dumped.write(f"HB|{e.idx}|{name}|C={render(eng.hbt[t])}\n")
 
     def at_event(e, message):
         return f"event {e.idx} ({trace.event_line(e)}): {named(message, trace)}"
@@ -88,7 +93,7 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
     error = ""
     try:
         with _read_events(args.input) as (trace, events):
-            run_detector(events, engine, clocks[0], dump if args.dump_timestamps else None,
+            run_detector(events, engine, clocks[0], dump if dumped is not None else None,
                          *clocks[1:])
     except EngineError as exc:
         error = at_event(exc.event, str(exc))
@@ -106,6 +111,9 @@ def _analyze_into(args: argparse.Namespace, out, mf) -> int:
     del clocks      # and the access records before output
     elapsed = time.perf_counter() - t0
 
+    if dumped is not None:
+        dumped.seek(0)
+        shutil.copyfileobj(dumped, out)
     any_race = False
     metrics_lines: list[str] = []
     if args.pairs and "wcp" in detectors:
@@ -180,8 +188,15 @@ def _generate(args: argparse.Namespace, out) -> int:
 
 
 def _oracle(args: argparse.Namespace, out) -> int:
+    trace = load_trace(args.input)
+    # the trace analyze rejects is an error here too; its warnings the oracle models
+    errors = validate(trace).errors()
+    if errors:
+        v = errors[0]
+        print(f"error: event {v.idx} ({trace.event_line(trace.events[v.idx])}): {v.message}",
+              file=sys.stderr)
+        return 2
     try:
-        trace = load_trace(args.input)
         hb = oracle_mod.hb_closure(trace, args.bound)
         wprec = oracle_mod.wcp_prec_closure(trace, args.bound)
         cprec = oracle_mod.cp_prec_closure(trace, args.bound)

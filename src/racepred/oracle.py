@@ -21,14 +21,22 @@ closed.  The strict precedence relations are least fixpoints:
 different threads) throughout.  Fork/join edges, when present, are added
 to HB before closure so the oracle matches the engines' extension.
 Re-entrant inner acquire/release pairs are treated as inert events.
+
+Each query builds one _TraceView: the critical sections grouped by lock,
+each with the bitmask of its events and the OR of its accesses' conflict
+masks, and the HB rows, reached from thread order, lock handoffs and
+fork/join edges.  Rule (a) is then one mask test per section pair, and
+CP and WCP share one fixpoint, _close: rule (b) is a list of (s1, s2,
+target) candidates -- s1's release is ordered before target, s2's
+acquire for CP and its release for WCP, once an event of s1 precedes one
+of s2 -- and rule (c) runs between rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trace_model import (ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Trace,
-                          conflicting)
+from .trace_model import ACQUIRE, FORK, JOIN, RELEASE, WRITE, Trace, conflicting
 
 DEFAULT_BOUND = 2000
 
@@ -71,133 +79,134 @@ class OrderRelation:
             yield f"PREC|{tag}|{i}|{j}"
 
 
-@dataclass
+def _conflicts(trace: Trace) -> list[int]:
+    """Per event, the bitmask of the accesses it conflicts with."""
+    conf = [0] * trace.n_events
+    by_var: dict[int, list] = {}
+    for e in trace.events:
+        if e.kind <= WRITE:
+            seen = by_var.setdefault(e.op, [])
+            for f in seen:
+                if conflicting(f, e):
+                    conf[e.idx] |= 1 << f.idx
+                    conf[f.idx] |= 1 << e.idx
+            seen.append(e)
+    return conf
+
+
+def _thread_order(trace: Trace) -> tuple[list[list[int]], dict[int, int]]:
+    """Each event's successor in its thread, and each thread's last event."""
+    succs: list[list[int]] = [[] for _ in range(trace.n_events)]
+    last: dict[int, int] = {}
+    for e in trace.events:
+        j = last.get(e.tid)
+        if j is not None:
+            succs[j].append(e.idx)
+        last[e.tid] = e.idx
+    return succs, last
+
+
+def _reach(succs: list[list[int]]) -> list[int]:
+    """Reflexive-transitive rows of a graph whose edges all point forward."""
+    rows = [0] * len(succs)
+    for i in range(len(succs) - 1, -1, -1):
+        row = 1 << i
+        for j in succs[i]:
+            row |= rows[j]
+        rows[i] = row
+    return rows
+
+
+@dataclass(eq=False)
 class _Section:
     lock: int
-    thread: int
     acq: int
     rel: int | None     # None: open at end of trace
     mask: int           # bitmask of member events (endpoints included)
+    conf: int = 0       # bitmask of the accesses its accesses conflict with
 
 
 class _TraceView:
-    """Logical structure shared by the closures: sections, access lists,
-    enclosing-section map.  Inner re-entrant lock events are inert."""
+    """What the closures share: sections by lock, in acquire order, with
+    their conflict masks; the handoff pairs; and the HB rows.  Inner
+    re-entrant lock events are inert."""
 
     def __init__(self, trace: Trace, bound: int):
         n = trace.n_events
         if n > bound:
             raise BoundExceeded(f"{n} events exceeds oracle bound {bound}")
-        self.trace = trace
         self.n = n
-        self.sections: list[_Section] = []
-        self.enclosing: list[list[int]] = [[] for _ in range(n)]   # event -> section ids
-        self.accesses = [e for e in trace.events if e.kind <= WRITE]
-
+        self.by_lock: dict[int, list[_Section]] = {}
+        conf = _conflicts(trace)
         depth: dict[tuple[int, int], int] = {}
-        open_by_thread: dict[int, list[int]] = {}
-        self.logical_lock_event: list[bool] = [False] * n
+        open_by_thread: dict[int, list[_Section]] = {}
         for e in trace.events:
             t = e.tid
-            for sid in open_by_thread.get(t, ()):
-                sec = self.sections[sid]
+            for sec in open_by_thread.get(t, ()):
                 sec.mask |= 1 << e.idx
-                self.enclosing[e.idx].append(sid)
+                sec.conf |= conf[e.idx]
             if e.kind == ACQUIRE:
-                d = depth.get((t, e.op), 0)
-                depth[(t, e.op)] = d + 1
-                if d == 0:
-                    self.logical_lock_event[e.idx] = True
-                    sid = len(self.sections)
-                    self.sections.append(_Section(e.op, t, e.idx, None, 1 << e.idx))
-                    self.enclosing[e.idx].append(sid)
-                    open_by_thread.setdefault(t, []).append(sid)
-            elif e.kind == RELEASE:
-                d = depth.get((t, e.op), 0)
-                if d == 1:
-                    self.logical_lock_event[e.idx] = True
-                    st = open_by_thread.get(t, [])
-                    for k in range(len(st) - 1, -1, -1):
-                        if self.sections[st[k]].lock == e.op:
-                            self.sections[st[k]].rel = e.idx
-                            del st[k]
-                            break
-                if d:
-                    depth[(t, e.op)] = d - 1
+                depth[t, e.op] = depth.get((t, e.op), 0) + 1
+                if depth[t, e.op] == 1:
+                    sec = _Section(e.op, e.idx, None, 1 << e.idx)
+                    self.by_lock.setdefault(e.op, []).append(sec)
+                    open_by_thread.setdefault(t, []).append(sec)
+            elif e.kind == RELEASE and depth.get((t, e.op)):
+                depth[t, e.op] -= 1
+                if depth[t, e.op] == 0:
+                    st = open_by_thread[t]
+                    sec = next(s for s in reversed(st) if s.lock == e.op)
+                    sec.rel = e.idx
+                    st.remove(sec)
+        # s1's release before s2's acquire: HB's lock edges and CP's pairs
+        self.handoffs = [(s1, s2) for s1, s2 in self.later() if s2.acq > s1.rel]
+        self.hb = self._hb_rows(trace)
 
-    def sections_of_lock(self, l: int) -> list[_Section]:
-        return [s for s in self.sections if s.lock == l]
+    def later(self):
+        """(s1, s2): same-lock sections, s1 closed and acquired before s2."""
+        for secs in self.by_lock.values():
+            for i, s1 in enumerate(secs):
+                if s1.rel is not None:
+                    for s2 in secs[i + 1:]:
+                        yield s1, s2
 
-
-def _to_refl_rows(trace: Trace) -> list[int]:
-    n = trace.n_events
-    rows = [1 << i for i in range(n)]
-    last: dict[int, int] = {}
-    for e in reversed(trace.events):
-        j = last.get(e.tid)
-        if j is not None:
-            rows[e.idx] |= rows[j]
-        last[e.tid] = e.idx
-    return rows
+    def _hb_rows(self, trace: Trace) -> list[int]:
+        """Thread order, release -> later same-lock acquire, fork -> child's
+        first event and child's last -> join, reflexive and transitive."""
+        succs, last_in_thread = _thread_order(trace)
+        for s1, s2 in self.handoffs:
+            succs[s1.rel].append(s2.acq)
+        first_in_thread: dict[int, int] = {}
+        forked_at: dict[int, int] = {}
+        for e in trace.events:
+            first_in_thread.setdefault(e.tid, e.idx)
+            if e.kind == FORK:
+                forked_at.setdefault(e.op, e.idx)
+        for e in trace.events:
+            if e.kind == FORK:
+                child_first = first_in_thread.get(e.op)
+                if child_first is not None and child_first > e.idx:
+                    succs[e.idx].append(child_first)
+            elif e.kind == JOIN:
+                child_last = last_in_thread.get(e.op)   # final index per thread
+                if child_last is not None and child_last < e.idx:
+                    succs[child_last].append(e.idx)
+                elif child_last is None and e.op in forked_at and forked_at[e.op] < e.idx:
+                    # eventless child: its lifetime still orders fork before join
+                    succs[forked_at[e.op]].append(e.idx)
+        return _reach(succs)
 
 
 def hb_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     """Reflexive-transitive HB rows: thread order, release -> later
     same-lock acquire, fork -> child's first event, child's last -> join."""
     view = _TraceView(trace, bound)
-    n = view.n
-    succs: list[list[int]] = [[] for _ in range(n)]
-
-    last_in_thread: dict[int, int] = {}
-    for e in trace.events:
-        j = last_in_thread.get(e.tid)
-        if j is not None:
-            succs[j].append(e.idx)
-        last_in_thread[e.tid] = e.idx
-
-    by_lock: dict[int, list] = {}
-    for e in trace.events:
-        if e.kind in (ACQUIRE, RELEASE) and view.logical_lock_event[e.idx]:
-            by_lock.setdefault(e.op, []).append(e)
-    for evs in by_lock.values():
-        for i, r in enumerate(evs):
-            if r.kind != RELEASE:
-                continue
-            for a in evs[i + 1:]:
-                if a.kind == ACQUIRE:
-                    succs[r.idx].append(a.idx)
-
-    first_in_thread: dict[int, int] = {}
-    forked_at: dict[int, int] = {}
-    for e in trace.events:
-        first_in_thread.setdefault(e.tid, e.idx)
-        if e.kind == FORK and e.op not in forked_at:
-            forked_at[e.op] = e.idx
-    for e in trace.events:
-        if e.kind == FORK:
-            child_first = first_in_thread.get(e.op)
-            if child_first is not None and child_first > e.idx:
-                succs[e.idx].append(child_first)
-        elif e.kind == JOIN:
-            child_last = last_in_thread.get(e.op)   # final index per thread
-            if child_last is not None and child_last < e.idx:
-                succs[child_last].append(e.idx)
-            elif child_last is None and e.op in forked_at and forked_at[e.op] < e.idx:
-                # eventless child: its lifetime still orders fork before join
-                succs[forked_at[e.op]].append(e.idx)
-
-    rows = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = 1 << i
-        for j in succs[i]:
-            row |= rows[j]
-        rows[i] = row
-    return OrderRelation(n, rows, HB)
+    return OrderRelation(view.n, view.hb, HB)
 
 
-def _compose_with_hb(rows: list[int], hb: list[int], n: int) -> bool:
-    """Close rows under composition with HB on both sides; True if grown."""
-    grew = False
+def _compose_with_hb(rows: list[int], hb: list[int]) -> None:
+    """Close rows under composition with HB on both sides."""
+    n = len(rows)
     while True:
         changed = False
         for i in range(n):
@@ -225,129 +234,50 @@ def _compose_with_hb(rows: list[int], hb: list[int], n: int) -> bool:
                 rows[i] = acc
                 changed = True
         if not changed:
-            return grew
-        grew = True
+            return
+
+
+def _close(view: _TraceView, rows: list[int], candidates, kind: str) -> OrderRelation:
+    """The least fixpoint of rules (b) and (c) over rows seeded by rule (a).
+    A candidate (s1, s2, target) orders s1.rel before target once an event
+    of s1 precedes one of s2; after rule (c), s1's acquire precedes all
+    that its later events precede, so its row alone decides."""
+    while True:
+        _compose_with_hb(rows, view.hb)
+        candidates = [c for c in candidates if not rows[c[0].rel] >> c[2] & 1]
+        fired = [(s1, target) for s1, s2, target in candidates if rows[s1.acq] & s2.mask]
+        if not fired:
+            return OrderRelation(view.n, rows, kind)
+        for s1, target in fired:
+            rows[s1.rel] |= 1 << target
 
 
 def wcp_prec_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     view = _TraceView(trace, bound)
-    n = view.n
-    hb = hb_closure(trace, bound).bits
-    rows = [0] * n
-
-    # Rule (a): release r, later conflicting access e inside a same-lock
-    # section (necessarily a different section, so its acquire is after r).
-    for e in view.accesses:
-        for sid in view.enclosing[e.idx]:
-            s2 = view.sections[sid]
-            for s1 in view.sections_of_lock(s2.lock):
-                if s1.rel is None or s1.rel >= e.idx or s2.acq <= s1.rel:
-                    continue
-                mask = s1.mask
-                for e1 in view.accesses:
-                    if mask >> e1.idx & 1 and conflicting(e1, e):
-                        rows[s1.rel] |= 1 << e.idx
-                        break
-
-    _compose_with_hb(rows, hb, n)
-
-    # Rule (b) feeds rule (c) and vice versa: iterate to a joint fixpoint.
-    by_lock: dict[int, list[_Section]] = {}
-    for s in view.sections:
-        if s.rel is not None:
-            by_lock.setdefault(s.lock, []).append(s)
-    while True:
-        changed = False
-        for secs in by_lock.values():
-            for i, s1 in enumerate(secs):
-                for s2 in secs[i + 1:]:
-                    r1, r2 = s1.rel, s2.rel
-                    if rows[r1] >> r2 & 1:
-                        continue
-                    m1, m2 = s1.mask, s2.mask
-                    hit = False
-                    e1m = m1
-                    while e1m:
-                        low = e1m & -e1m
-                        if rows[low.bit_length() - 1] & m2:
-                            hit = True
-                            break
-                        e1m ^= low
-                    if hit:
-                        rows[r1] |= 1 << r2
-                        changed = True
-        if changed:
-            _compose_with_hb(rows, hb, n)
-        else:
-            break
-    return OrderRelation(n, rows, WCP_PREC)
+    rows = [0] * view.n
+    # Rule (a): s2 follows s1's release, so its accesses that conflict with
+    # s1's follow the release.
+    for s1, s2 in view.handoffs:
+        rows[s1.rel] |= s1.conf & s2.mask
+    candidates = [(s1, s2, s2.rel) for s1, s2 in view.later() if s2.rel is not None]
+    return _close(view, rows, candidates, WCP_PREC)
 
 
 def cp_prec_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     view = _TraceView(trace, bound)
-    n = view.n
-    hb = hb_closure(trace, bound).bits
-    rows = [0] * n
-
-    by_lock: dict[int, list[_Section]] = {}
-    for s in view.sections:
-        by_lock.setdefault(s.lock, []).append(s)
-
+    rows = [0] * view.n
     # Rule (a): same-lock section pair with conflicting events orders the
     # earlier release before the later acquire.
-    for secs in by_lock.values():
-        for i, s1 in enumerate(secs):
-            if s1.rel is None:
-                continue
-            for s2 in secs[i + 1:]:
-                if s2.acq <= s1.rel:
-                    continue
-                hit = False
-                for e1 in view.accesses:
-                    if not (s1.mask >> e1.idx & 1):
-                        continue
-                    for e2 in view.accesses:
-                        if s2.mask >> e2.idx & 1 and conflicting(e1, e2):
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    rows[s1.rel] |= 1 << s2.acq
-
-    _compose_with_hb(rows, hb, n)
-
-    while True:
-        changed = False
-        for secs in by_lock.values():
-            for i, s1 in enumerate(secs):
-                if s1.rel is None:
-                    continue
-                for s2 in secs[i + 1:]:
-                    if s2.acq <= s1.rel or rows[s1.rel] >> s2.acq & 1:
-                        continue
-                    hit = False
-                    e1m = s1.mask
-                    while e1m:
-                        low = e1m & -e1m
-                        if rows[low.bit_length() - 1] & s2.mask:
-                            hit = True
-                            break
-                        e1m ^= low
-                    if hit:
-                        rows[s1.rel] |= 1 << s2.acq
-                        changed = True
-        if changed:
-            _compose_with_hb(rows, hb, n)
-        else:
-            break
-    return OrderRelation(n, rows, CP_PREC)
+    for s1, s2 in view.handoffs:
+        if s1.conf & s2.mask:
+            rows[s1.rel] |= 1 << s2.acq
+    return _close(view, rows, [(s1, s2, s2.acq) for s1, s2 in view.handoffs], CP_PREC)
 
 
 def as_partial_order(trace: Trace, prec: OrderRelation) -> OrderRelation:
     """A WCP or CP precedence closure united with thread order: the
     partial order that races_of takes."""
-    rows = [r | t for r, t in zip(prec.bits, _to_refl_rows(trace))]
+    rows = [r | t for r, t in zip(prec.bits, _reach(_thread_order(trace)[0]))]
     return OrderRelation(prec.n, rows, {WCP_PREC: WCP_LE, CP_PREC: CP_LE}[prec.kind])
 
 
@@ -364,13 +294,13 @@ def races_of(trace: Trace, rel: OrderRelation) -> set[tuple[int, int]]:
     """All conflicting pairs (i < j) unordered by rel."""
     if rel.kind not in (HB, CP_LE, WCP_LE):
         raise ValueError(f"races are defined over partial orders, not {rel.kind}")
-    accesses = [e for e in trace.events if e.kind <= WRITE]
     out = set()
-    for i, e1 in enumerate(accesses):
-        for e2 in accesses[i + 1:]:
-            if not conflicting(e1, e2):
-                continue
-            a, b = e1.idx, e2.idx
-            if not rel.holds(a, b) and not rel.holds(b, a):
-                out.add((a, b))
+    for i, conf in enumerate(_conflicts(trace)):
+        later = conf >> (i + 1) << (i + 1) & ~rel.bits[i]
+        while later:
+            low = later & -later
+            j = low.bit_length() - 1
+            if not rel.bits[j] >> i & 1:
+                out.add((i, j))
+            later ^= low
     return out

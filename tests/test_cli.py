@@ -436,3 +436,46 @@ def test_readme_analyze_synopsis_lists_every_option():
         options = {opt for action in sub.choices[synopsis.split()[0]]._actions
                    for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
         assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == options, synopsis
+
+
+@pytest.mark.parametrize("text", ["T1|w|x\nT1|bogus|y\n", "T1|w|x\nT2|rel|l\n"])
+@pytest.mark.parametrize("detector", ["wcp", "hb", "both"])
+@pytest.mark.parametrize("mode", [[], ["--pairs"]])
+def test_dump_timestamps_of_a_failed_run_print_nothing(capsys, tmp_path, text, detector, mode):
+    # a parse or engine error after the first event leaves no partial dump
+    path = tmp_path / "bad.std"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", "--detector", detector, "--dump-timestamps",
+                             *mode, str(path))
+    assert (code, out) == (2, "")
+    assert [l for l in err.splitlines() if l.startswith("error:")] == err.splitlines()[-1:]
+    assert err.count("error:") == 1
+
+
+def test_oracle_rejects_the_traces_analyze_rejects(capsys, tmp_path):
+    path = tmp_path / "t.std"
+    path.write_text("T1|acq|l\nT2|acq|l\nT1|w|x\nT2|w|x\nT1|rel|l\nT2|rel|l\n")
+    assert run_cli(capsys, "oracle", str(path)) == \
+        (2, "", "error: event 1 (T2|acq|l): acquire of lock l already held by thread T1\n")
+    # seeded fuzz over short traces of every event kind: oracle exits 2
+    # exactly when analyze does, with the same error line; on warnings only
+    # (re-entrant, dangling, unknown joins) it still answers
+    rng = random.Random(53)
+    operands = {"acq": ["l", "m"], "rel": ["l", "m"], "r": ["x"], "w": ["x"],
+                "fork": ["T1", "T2", "T3"], "join": ["T1", "T2", "T3"]}
+    codes = set()
+    for _ in range(400):
+        lines = []
+        for _ in range(rng.randrange(1, 10)):
+            op = rng.choice(list(operands))
+            lines.append(f"{rng.choice(['T1', 'T2', 'T3'])}|{op}|{rng.choice(operands[op])}")
+        path.write_text("\n".join(lines) + "\n")
+        a_code, _, a_err = run_cli(capsys, "analyze", str(path))
+        o_code, o_out, o_err = run_cli(capsys, "oracle", str(path))
+        errors = [l for l in a_err.splitlines() if l.startswith("error:")]
+        assert (o_code == 2) == (a_code == 2), lines
+        assert o_err.splitlines() == errors, lines
+        if o_code == 2:
+            assert o_out == ""
+        codes.add((a_code, o_code))
+    assert {(2, 2), (0, 0), (1, 1)} <= codes
