@@ -12,8 +12,9 @@ both, where the hb detector race-checks the WCP engine's HB clock.  With
 --pairs each detector keeps one record per access, and pass 2 resolves
 its pairs from them once the engine is freed.  Engine errors
 and warnings name the event and its STD line, and threads and locks by
-their trace names.  analyze and validate read the input through one
-streaming parse; validate then keeps no events either.
+their trace names.  analyze, validate and oracle read the input through
+one streaming parse; validate then keeps no events either, and oracle
+keeps them once analyze's pass 1, with HbEngine, has accepted each.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import tracegen
 from .hb_engine import HbEngine, validate
 from .race_reporter import (AccessClocks, render_flags, resolve_pairs,
                             run_detector, summary_lines)
-from .trace_model import ParseError, Trace, iter_parse, load_trace, open_trace
+from .trace_model import ParseError, Trace, iter_parse, open_trace
 from .vclock import render
 from .wcp_engine import EngineError, WcpEngine, named
 
@@ -47,6 +48,11 @@ def _read_events(path: str):
     with open_trace(path) as f:
         trace = Trace()
         yield trace, iter_parse(f, trace)
+
+
+def _at_event(trace: Trace, e, message: str) -> str:
+    """An engine error or warning, naming its event, STD line, threads and locks."""
+    return f"event {e.idx} ({trace.event_line(e)}): {named(message, trace)}"
 
 
 def _is_input(metrics: str, path: str) -> bool:
@@ -87,20 +93,17 @@ def _analyze_into(args: argparse.Namespace, out, mf, dumped) -> int:
         if args.detector != "wcp":
             dumped.write(f"HB|{e.idx}|{name}|C={render(eng.hbt[t])}\n")
 
-    def at_event(e, message):
-        return f"event {e.idx} ({trace.event_line(e)}): {named(message, trace)}"
-
     error = ""
     try:
         with _read_events(args.input) as (trace, events):
             run_detector(events, engine, clocks[0], dump if dumped is not None else None,
                          *clocks[1:])
     except EngineError as exc:
-        error = at_event(exc.event, str(exc))
+        error = _at_event(trace, exc.event, str(exc))
     except INPUT_ERRORS as exc:
         error = str(exc)
     for warning in engine.warnings:     # only events warn, so trace is bound
-        print(f"warning: {at_event(warning.event, warning.message)}", file=sys.stderr)
+        print(f"warning: {_at_event(trace, warning.event, warning.message)}", file=sys.stderr)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -166,7 +169,7 @@ def _generate(args: argparse.Namespace, out) -> int:
     try:
         if args.fixture:
             trace = tracegen.fixture(args.fixture)
-        elif args.bits:
+        elif args.bits is not None:
             u, _, v = args.bits.partition(",")
             trace = tracegen.gen_equality_trace(u, v)
         else:
@@ -188,13 +191,14 @@ def _generate(args: argparse.Namespace, out) -> int:
 
 
 def _oracle(args: argparse.Namespace, out) -> int:
-    trace = load_trace(args.input)
-    # the trace analyze rejects is an error here too; its warnings the oracle models
-    errors = validate(trace).errors()
-    if errors:
-        v = errors[0]
-        print(f"error: event {v.idx} ({trace.event_line(trace.events[v.idx])}): {v.message}",
-              file=sys.stderr)
+    # analyze's pass 1, keeping each event it accepts, so that the first
+    # fault in input order ends both commands; warnings the oracle models
+    try:
+        with _read_events(args.input) as (trace, events):
+            run_detector(events, HbEngine(), AccessClocks(),
+                         lambda e, c, eng: trace.events.append(e))
+    except EngineError as exc:
+        print(f"error: {_at_event(trace, exc.event, str(exc))}", file=sys.stderr)
         return 2
     try:
         hb = oracle_mod.hb_closure(trace, args.bound)

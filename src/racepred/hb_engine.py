@@ -2,11 +2,12 @@
 
 The WCP engine keeps Lamport's HB clock H for every thread, so this engine
 subclasses it and keeps only that clock.  It inherits thread and lock
-growth, the granule tick, fork/join, the lock-discipline checks with
-re-entrancy flattening, process and the invariant checks.  An acquire
-joins the lock's last release clock, a release stores the thread clock
-there, and reads and writes join nothing.  No section log is kept, so
-max_queue_load stays 0; pred stays all zeros.
+growth, the granule tick, fork/join, process, the invariant checks, and
+from _enter/_leave the lock discipline with re-entrancy flattening and
+HB's lock rule: an acquire joins the lock's last release clock, and a
+release stores the thread clock there.  Its own acquire and release only
+push and pop the section frame, and reads and writes join nothing.  No
+section log is kept, so max_queue_load stays 0; pred stays all zeros.
 
 Timestamps equal the WCP engine's hbt at every event, which lets
 --detector both race-check hbt without an HbEngine.  They are epochs: a
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event, Trace
-from .vclock import join_into
 from .wcp_engine import EngineError, WcpEngine, named
 
 
@@ -38,18 +38,12 @@ class HbEngine(WcpEngine):
 
     def acquire(self, t: int, l: int) -> tuple[int, ...]:
         if self._enter(t, l):
-            hl = self.lock_hb[l]
-            if hl is not None:
-                join_into(self.hbt[t], hl)
             self.frames[t].append((l,))     # no section log, no access sets
         return tuple(self.hbt[t])
 
     def release(self, t: int, l: int) -> tuple[int, ...]:
-        frame = self._leave(t, l)
-        snap = tuple(self.hbt[t])
-        if frame is not None:
-            self.lock_hb[l] = snap
-        return snap
+        self._leave(t, l)
+        return tuple(self.hbt[t])
 
     def read(self, t: int, x: int) -> tuple[int, ...]:
         self._ensure_thread(t)

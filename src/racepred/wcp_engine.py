@@ -1,15 +1,15 @@
 """Streaming WCP vector-clock engine: one linear pass, one timestamp per event.
 
-Per thread t the state holds a local counter n[t] and two clocks: pred[t]
-joins the timestamps of every event strictly WCP-before t's latest event,
-and hbt[t] joins those of every event HB-before it (component t mirrors
-n[t]).  The timestamp of t's latest event is pred[t] with component t
-set to n[t]; it is materialized on demand rather than mirrored.  n[t]
-bumps just before the next event of t whenever t's granule has ended
-since: t released a lock or forked a thread.  Being joined ends t's last
-granule: a joined thread never acts again, and an event of it raises
-JoinOfLiveThread.  A row is only table space, made when an id is first
-needed (a join makes one); t starts at its first event or its fork.
+Per thread t the state holds two clocks: pred[t] joins the timestamps of
+every event strictly WCP-before t's latest event, and hbt[t] those of
+every event HB-before it.  t's local time n[t] is hbt[t][t], and the
+timestamp of t's latest event is pred[t] with component t set to n[t],
+materialized on demand.  n[t] bumps just before the next event of t
+whenever t's granule has ended since: t released a lock or forked a
+thread.  Being joined ends t's last granule: a joined thread never acts
+again, and an event of it raises JoinOfLiveThread.  A row is only table
+space, made when an id is first needed (a join makes one); t starts at
+its first event or its fork.
 
 Per lock: its owner holder[l] (-1 when free) and depth[l], the number of
 flattened re-acquires still open, so t holds l exactly when holder[l] ==
@@ -38,15 +38,18 @@ lazy: the release times of one lock form a chain (every acquire joins
 the lock's HB clock), so the latest drained release time subsumes all
 earlier ones.  The drain keeps only that one, folds it when an epoch
 test fails and retests the same entry, and folds it once more when the
-drain ends, so pred and every timestamp are those of eager folding.  With invariant_checks on,
-every epoch test is also compared with the full leq.
+drain ends, so pred and every timestamp are those of eager folding.
+With invariant_checks on, every epoch test is also compared with the
+full leq.
 
 Per (lock, variable): the release-HB-times of sections over the lock
-that read/wrote the variable.  An access must join the times of such
-releases by *other* threads only: an access is ordered after an earlier
-release only when that release's section holds a conflicting (hence
-cross-thread) access, and folding a thread's own release times here
-would smuggle HB-only knowledge into pred and over-order.  Since every
+that read/wrote the variable, for rule (a), which _access applies in
+every section the accessing thread holds: a read joins the times of
+sections that wrote the variable, a write those that read or wrote it.
+Only releases by *other* threads count: an access is ordered after an
+earlier release only when that release's section holds a conflicting
+(hence cross-thread) access, and folding a thread's own release times
+here would smuggle HB-only knowledge into pred and over-order.  Since every
 release of a lock dominates all earlier releases of that lock (its
 acquire joined the lock's HB clock), the contributions form a chain, so
 it suffices to keep the latest contribution and the latest one from any
@@ -59,7 +62,10 @@ own components, so everything HB-below the ordering's source arrives too.
 hbt[t] is therefore the HB timestamp of t's latest event, equal to
 HbEngine's at every event, so one pass of this engine serves both
 detectors (``run_detector``'s hb argument).  HbEngine subclasses this
-engine and shares its thread and lock state, fork/join and process.
+engine and shares its thread and lock state, fork/join, process and HB's
+lock rule, which _enter/_leave hold with the lock discipline: a logical
+acquire joins the lock's last release HB time lock_hb[l] into hbt, and a
+logical release stores hbt there.
 
 The well-formedness rules live here and nowhere else: _enter/_leave check
 lock discipline, fork/join and _tick check fork/join plausibility.  Each
@@ -112,15 +118,12 @@ class WcpEngine:
     detector = "wcp"
 
     def __init__(self, *, invariant_checks: bool = False):
-        self.nthreads = 0
-        self.nlocks = 0
-        # per thread
-        self.local: list[int] = []
+        # per thread; hbt[t][t] is t's local time
         self.pred: list[list[int]] = []
         self.hbt: list[list[int]] = []
         self.pending: list[bool | int] = []    # bump owed, or JOINED
         self.started: list[bool] = []          # performed an event or was forked
-        self.frames: list[list[list]] = []     # [lock, log index, rset, wset]
+        self.frames: list[list[list]] = []     # [lock, log entry, rset, wset]
         # per lock
         self.lock_pred: list[tuple[int, ...] | None] = []
         self.lock_hb: list[tuple[int, ...] | None] = []
@@ -146,22 +149,17 @@ class WcpEngine:
     # -- state growth -------------------------------------------------
 
     def _ensure_thread(self, t: int) -> None:
-        while self.nthreads <= t:
-            u = self.nthreads
-            self.nthreads += 1
-            self.local.append(1)
+        while len(self.hbt) <= t:
+            u = len(self.hbt)
             self.pred.append([0] * (u + 1))
-            row = [0] * (u + 1)
-            row[u] = 1
-            self.hbt.append(row)
+            self.hbt.append([0] * u + [1])
             self.pending.append(False)
             self.started.append(False)
             self.frames.append([])
             self._last_times.append(None)
 
     def _ensure_lock(self, l: int) -> None:
-        while self.nlocks <= l:
-            self.nlocks += 1
+        while len(self.holder) <= l:
             self.lock_pred.append(None)
             self.lock_hb.append(None)
             self.holder.append(-1)
@@ -174,9 +172,7 @@ class WcpEngine:
         if self.pending[t]:
             self._refuse_if_joined(t)
             self.pending[t] = False
-            n = self.local[t] + 1
-            self.local[t] = n
-            self.hbt[t][t] = n
+            self.hbt[t][t] += 1
         if not self.started[t]:
             self._start(t)
 
@@ -194,12 +190,13 @@ class WcpEngine:
 
     def _snap(self, t: int) -> tuple[int, ...]:
         c = self.pred[t][:]
-        c[t] = self.local[t]
+        c[t] = self.hbt[t][t]
         return tuple(c)
 
     def _enter(self, t: int, l: int) -> bool:
-        """Lock discipline of an acquire, shared by both detectors.  Returns
-        False for a flattened re-entrant acquire; otherwise t now holds l."""
+        """Lock discipline and HB's lock rule of an acquire.  Returns False
+        for a flattened re-entrant acquire; otherwise t now holds l and
+        hbt[t] has joined the lock's last release HB time."""
         self._ensure_thread(t)
         self._ensure_lock(l)
         owner = self.holder[l]
@@ -214,13 +211,16 @@ class WcpEngine:
                               "DoubleAcquire")
         self._tick(t)
         self.holder[l] = t
+        hl = self.lock_hb[l]
+        if hl is not None:
+            join_into(self.hbt[t], hl)
         return True
 
     def _leave(self, t: int, l: int) -> list | None:
-        """Lock discipline of a release, shared by both detectors.  Returns
-        None for a flattened inner release; otherwise t's innermost section
-        frame, popped, and l is free."""
-        if l >= self.nlocks or self.holder[l] != t:
+        """Lock discipline and HB's lock rule of a release.  Returns None for
+        a flattened inner release; otherwise t's innermost section frame,
+        popped, l is free and lock_hb[l] holds the release's HB time."""
+        if l >= len(self.holder) or self.holder[l] != t:
             raise EngineError(f"release of lock {l} not held by thread {t}", "UnmatchedRelease")
         if self.depth[l]:
             self._refuse_if_joined(t)
@@ -233,6 +233,7 @@ class WcpEngine:
         self._tick(t)
         self.holder[l] = -1
         self.pending[t] = True
+        self.lock_hb[l] = tuple(self.hbt[t])
         return frames.pop()
 
     # -- operations (one per event kind) -------------------------------
@@ -240,20 +241,17 @@ class WcpEngine:
     def acquire(self, t: int, l: int) -> tuple[int, ...]:
         if not self._enter(t, l):
             return self._snap(t)
-        hl = self.lock_hb[l]
-        if hl is not None:
-            join_into(self.hbt[t], hl)
         pl = self.lock_pred[l]
         if pl is not None:
             join_into(self.pred[t], pl)
         snap = self._snap(t)
-        entry_idx = len(self.log[l])
-        self.log[l].append([t, snap, None])
+        entry = [t, snap, None]
+        self.log[l].append(entry)
         self.total_entries += 1
         self.queue_load += self.nstarted - 1
         if self.queue_load > self.max_queue_load:
             self.max_queue_load = self.queue_load
-        self.frames[t].append([l, entry_idx, set(), set()])
+        self.frames[t].append([l, entry, set(), set()])
         return snap
 
     def release(self, t: int, l: int) -> tuple[int, ...]:
@@ -293,15 +291,14 @@ class WcpEngine:
             join_into(pred_t, last)
         self.cursors[l][t] = i
 
-        _, entry_idx, rset, wset = frame
-        h_snap = tuple(self.hbt[t])
+        _, entry, rset, wset = frame
+        h_snap = self.lock_hb[l]
         for x in rset:
             self._contribute(self.read_rel_times, l, x, t, h_snap)
         for x in wset:
             self._contribute(self.write_rel_times, l, x, t, h_snap)
-        self.lock_hb[l] = h_snap
         self.lock_pred[l] = tuple(pred_t)
-        log_l[entry_idx][2] = h_snap
+        entry[2] = h_snap
         frames = self.frames[t]
         if frames:
             # nested accesses belong to the enclosing section too
@@ -324,41 +321,30 @@ class WcpEngine:
             slot[0] = t
             slot[1] = h_snap
 
-    def read(self, t: int, x: int) -> tuple[int, ...]:
+    def _access(self, t: int, x: int, k: int, rel_tables) -> tuple[int, ...]:
+        """Rule (a) for t's access to x; x joins access set k of t's innermost frame."""
         self._ensure_thread(t)
         self._tick(t)
         frames = self.frames[t]
         if frames:
             pred_t = self.pred[t]
-            wrt = self.write_rel_times
-            for fr in frames:
-                slot = wrt.get((fr[0], x))
-                if slot is not None:
-                    if slot[0] != t:
-                        join_into(pred_t, slot[1])
-                    elif slot[3] is not None:
-                        join_into(pred_t, slot[3])
-            frames[-1][2].add(x)
-        return self._snap(t)
-
-    def write(self, t: int, x: int) -> tuple[int, ...]:
-        self._ensure_thread(t)
-        self._tick(t)
-        frames = self.frames[t]
-        if frames:
-            pred_t = self.pred[t]
-            rrt = self.read_rel_times
-            wrt = self.write_rel_times
             for fr in frames:
                 key = (fr[0], x)
-                for slot in (rrt.get(key), wrt.get(key)):
+                for rel_times in rel_tables:
+                    slot = rel_times.get(key)
                     if slot is not None:
                         if slot[0] != t:
                             join_into(pred_t, slot[1])
                         elif slot[3] is not None:
                             join_into(pred_t, slot[3])
-            frames[-1][3].add(x)
+            frames[-1][k].add(x)
         return self._snap(t)
+
+    def read(self, t: int, x: int) -> tuple[int, ...]:
+        return self._access(t, x, 2, (self.write_rel_times,))
+
+    def write(self, t: int, x: int) -> tuple[int, ...]:
+        return self._access(t, x, 3, (self.read_rel_times, self.write_rel_times))
 
     def fork(self, t: int, u: int) -> tuple[int, ...]:
         self._ensure_thread(max(t, u))
@@ -368,10 +354,7 @@ class WcpEngine:
         self._start(u)
         # child starts HB-after the fork and inherits its WCP knowledge
         join_into(self.hbt[u], self.hbt[t])
-        row = list(self.pred[t])
-        if len(row) <= u:
-            row.extend([0] * (u + 1 - len(row)))
-        self.pred[u] = row
+        join_into(self.pred[u], self.pred[t])
         snap = self._snap(t)
         # handing the HB clock to the child ends the parent's local-clock
         # granule, exactly like a release: later same-granule parent events

@@ -378,6 +378,7 @@ def test_both_dump_order_does_not_depend_on_buffering(capsys, tmp_path):
     ["analyze", "--metrics", "{missing}", "{good}"],
     ["generate", "--fixture", "fig1b", "-o", "{missing}"],
     ["generate", "--random", "--vars", "0", "--locks", "0"],   # could emit no event
+    ["generate", "--bits", ""],
 ])
 def test_bad_input_or_path_is_one_error_line(capsys, tmp_path, fig_file, argv):
     bad = tmp_path / "bad.std"
@@ -457,18 +458,22 @@ def test_oracle_rejects_the_traces_analyze_rejects(capsys, tmp_path):
     path.write_text("T1|acq|l\nT2|acq|l\nT1|w|x\nT2|w|x\nT1|rel|l\nT2|rel|l\n")
     assert run_cli(capsys, "oracle", str(path)) == \
         (2, "", "error: event 1 (T2|acq|l): acquire of lock l already held by thread T1\n")
-    # seeded fuzz over short traces of every event kind: oracle exits 2
-    # exactly when analyze does, with the same error line; on warnings only
-    # (re-entrant, dangling, unknown joins) it still answers
+    # seeded fuzz over short traces of every event kind and some malformed
+    # lines: oracle exits 2 exactly when analyze does, with the same error
+    # line, the first fault in input order; on warnings only (re-entrant,
+    # dangling, unknown joins) it still answers
     rng = random.Random(53)
     operands = {"acq": ["l", "m"], "rel": ["l", "m"], "r": ["x"], "w": ["x"],
                 "fork": ["T1", "T2", "T3"], "join": ["T1", "T2", "T3"]}
+    malformed = ["T1|bogus|x", "T2|w", "T3|r|x y"]
     codes = set()
     for _ in range(400):
         lines = []
         for _ in range(rng.randrange(1, 10)):
             op = rng.choice(list(operands))
             lines.append(f"{rng.choice(['T1', 'T2', 'T3'])}|{op}|{rng.choice(operands[op])}")
+        if rng.random() < 0.25:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(malformed))
         path.write_text("\n".join(lines) + "\n")
         a_code, _, a_err = run_cli(capsys, "analyze", str(path))
         o_code, o_out, o_err = run_cli(capsys, "oracle", str(path))

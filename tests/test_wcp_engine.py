@@ -425,4 +425,4 @@ def test_release_of_unseen_lock_changes_nothing():
     with pytest.raises(EngineError) as exc:
         eng.release(0, 5)
     assert exc.value.kind == "UnmatchedRelease"
-    assert (eng.nlocks, eng.holder, eng.depth) == (1, [0], [0])
+    assert (len(eng.holder), eng.holder, eng.depth) == (1, [0], [0])
