@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force HB/CP/WCP relations (small traces)")
     o.add_argument("input")
-    o.add_argument("--bound", type=int, default=oracle_mod.DEFAULT_BOUND)
+    o.add_argument("--bound", type=_non_negative, default=oracle_mod.DEFAULT_BOUND)
     return ap
 
 

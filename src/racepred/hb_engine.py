@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event, Trace
+from .trace_model import ACQUIRE, FORK, JOIN, RELEASE, Event, Trace
 from .wcp_engine import EngineError, WcpEngine, named
 
 
@@ -45,15 +45,12 @@ class HbEngine(WcpEngine):
         self._leave(t, l)
         return tuple(self.hbt[t])
 
-    def read(self, t: int, x: int) -> tuple[int, ...]:
+    def access(self, t: int, x: int, kind: int) -> tuple[int, ...]:
         self._ensure_thread(t)
         self._tick(t)
         return tuple(self.hbt[t])
 
-    write = read
-
-    _DISPATCH = {READ: read, WRITE: write, ACQUIRE: acquire, RELEASE: release,
-                 FORK: WcpEngine.fork, JOIN: WcpEngine.join}
+    _DISPATCH = {ACQUIRE: acquire, RELEASE: release, FORK: WcpEngine.fork, JOIN: WcpEngine.join}
     # bound here as well, so that replacing WcpEngine.process (as a
     # per-class profiling wrapper does) leaves this class's calls apart
     process = WcpEngine.process

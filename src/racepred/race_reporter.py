@@ -73,13 +73,6 @@ class RacePair:
                 f"|mindist={self.min_distance}|ex={i1},{i2}|sound={1 if self.sound else 0}")
 
 
-def _ordered(h, c) -> bool:
-    """History h is ordered before timestamp c: the epoch test, or leq."""
-    if type(h) is tuple:
-        return h[0] < len(c) and h[1][h[0]] <= c[h[0]]
-    return leq(h, c)
-
-
 def _joined(h, c) -> list[int]:
     """History h joined with c, as a list (h itself when it is one)."""
     h = list(h[1]) if type(h) is tuple else h
@@ -101,21 +94,35 @@ def check_access(clocks: AccessClocks, kind: int, x: int, ep) -> bool:
     if type(c) is not tuple:
         c = tuple(c)
         ep = (t, c)
-    w = clocks.writes.get(x)
-    r = clocks.reads.get(x)
-    flagged = w is not None and not _ordered(w, c)
-    if kind == READ:
-        if r is None or type(r) is tuple and _ordered(r, c):
-            clocks.reads[x] = ep
-        else:
-            clocks.reads[x] = _joined(r, c)
-        return flagged
-    flagged = flagged or (r is not None and not _ordered(r, c))
-    if not flagged:
-        clocks.writes[x] = ep
-        clocks.reads.pop(x, None)
+    n = len(c)
+    writes, reads = clocks.writes, clocks.reads
+    w = writes.get(x)
+    r = reads.get(x)
+    # h is ordered before c: for an epoch h = (u, C), C[u] <= c[u]; for a join, leq
+    if w is None:
+        flagged = False
+    elif type(w) is tuple:
+        u = w[0]
+        flagged = u >= n or w[1][u] > c[u]
     else:
-        clocks.writes[x] = list(c) if w is None else _joined(w, c)
+        flagged = not leq(w, c)
+    if kind == READ:
+        if r is not None and (type(r) is not tuple or (u := r[0]) >= n or r[1][u] > c[u]):
+            ep = _joined(r, c)
+        reads[x] = ep
+        return flagged
+    if r is not None and not flagged:
+        if type(r) is tuple:
+            u = r[0]
+            flagged = u >= n or r[1][u] > c[u]
+        else:
+            flagged = not leq(r, c)
+    if flagged:
+        writes[x] = list(c) if w is None else _joined(w, c)
+    else:
+        writes[x] = ep
+        if r is not None:
+            del reads[x]
     return flagged
 
 
@@ -131,25 +138,28 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks,
     dump, if given, is called with (event, C, engine) after each event
     (timestamp dumps).  An EngineError or EngineWarning gets its event set."""
     flags, records = clocks.flags, clocks.records
-    warnings = engine.warnings
+    warnings, process, hbt = engine.warnings, engine.process, engine.hbt
+    check = check_access    # looked up per run, so that a replaced global is called
     for e in events:
         try:
-            c = engine.process(e)
+            c = process(e)
         except EngineError as exc:
             exc.event = e
             raise
-        if e.kind <= WRITE:
-            if check_access(clocks, e.kind, e.op, (e.tid, c)):
-                flags.append(Flag(e.idx, e.op, e.loc_or_default()))
+        kind = e.kind
+        if kind <= WRITE:
+            t, x = e.tid, e.op
+            if check(clocks, kind, x, (t, c)):
+                flags.append(Flag(e.idx, x, e.loc_or_default()))
             if records is not None:
-                records.append((e.idx, e.tid, e.kind, e.op, e.loc_or_default(), c))
+                records.append((e.idx, t, kind, x, e.loc_or_default(), c))
             if hb is not None:
-                h = tuple(engine.hbt[e.tid])
-                if check_access(hb, e.kind, e.op, (e.tid, h)):
-                    hb.flags.append(Flag(e.idx, e.op, e.loc_or_default()))
+                h = tuple(hbt[t])
+                if check(hb, kind, x, (t, h)):
+                    hb.flags.append(Flag(e.idx, x, e.loc_or_default()))
                 if hb.records is not None:
-                    hb.records.append((e.idx, e.tid, e.kind, e.op, e.loc_or_default(), h))
-        elif e.kind == JOIN and warnings and warnings[-1].event is None:
+                    hb.records.append((e.idx, t, kind, x, e.loc_or_default(), h))
+        elif kind == JOIN and warnings and warnings[-1].event is None:
             warnings[-1].event = e      # only a join warns, at most once
         if dump is not None:
             dump(e, c, engine)

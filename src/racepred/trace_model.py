@@ -20,6 +20,14 @@ well formed (lock discipline, fork/join) is decided by the engines' own
 checks, which validate (in hb_engine) runs over a stream of events.
 Input is UTF-8: open_trace reads files and stdin alike, and parse_line
 names a line that is not.
+
+A trace repeats few (thread, op, operand) triples over many lines, so
+iter_parse caches the ids that parse_line interned for each triple, keyed
+by the line's text before its loc field: up to the third bar, or the
+whole line when it has no loc.  A later ASCII line with a cached key
+becomes an event from the cached ids.  Every other line, and the first
+of each key, goes through parse_line, which makes every ParseError.  The
+cache lives for one iter_parse call and holds one entry per distinct key.
 """
 
 from __future__ import annotations
@@ -168,10 +176,33 @@ def parse_trace(lines: Iterable[str]) -> Trace:
 
 def iter_parse(lines: Iterable[str], trace: Trace) -> Iterator[Event]:
     """Streaming parse: yields events one by one while growing trace's
-    tables and count; neither keeps the events."""
+    tables and count; neither keeps the events.  Lines repeating a parsed
+    (thread, op, operand) are served from a cache (see the module docstring)."""
+    known: dict[str, tuple[int, int, int]] = {}    # text before the loc -> (tid, kind, op)
+    parse_line = trace.parse_line
     for line_no, line in enumerate(lines, 1):
-        e = trace.parse_line(line, line_no)
+        parts = line.split("|", 3)
+        n = len(parts)
+        if n >= 3 and line.isascii():
+            if n == 4:
+                loc = parts[3]
+                key = line[:len(line) - len(loc)]
+                loc = loc.rstrip("\n")
+            else:
+                key, loc = line, None
+            ids = known.get(key)
+            if ids is not None:
+                idx = trace.n_events
+                trace.n_events = idx + 1
+                t, kind, op = ids
+                yield Event(idx, t, kind, op, loc)
+                continue
+        else:
+            key = None
+        e = parse_line(line, line_no)
         if e is not None:
+            if key is not None:
+                known[key] = (e.tid, e.kind, e.op)
             yield e
 
 

@@ -43,7 +43,7 @@ With invariant_checks on, every epoch test is also compared with the
 full leq.
 
 Per (lock, variable): the release-HB-times of sections over the lock
-that read/wrote the variable, for rule (a), which _access applies in
+that read/wrote the variable, for rule (a), which access applies in
 every section the accessing thread holds: a read joins the times of
 sections that wrote the variable, a write those that read or wrote it.
 Only releases by *other* threads count: an access is ordered after an
@@ -123,7 +123,7 @@ class WcpEngine:
         self.hbt: list[list[int]] = []
         self.pending: list[bool | int] = []    # bump owed, or JOINED
         self.started: list[bool] = []          # performed an event or was forked
-        self.frames: list[list[list]] = []     # [lock, log entry, rset, wset]
+        self.frames: list[list[list]] = []     # [lock, log entry, rset, wset]; sets at 2 + kind
         # per lock
         self.lock_pred: list[tuple[int, ...] | None] = []
         self.lock_hb: list[tuple[int, ...] | None] = []
@@ -197,8 +197,10 @@ class WcpEngine:
         """Lock discipline and HB's lock rule of an acquire.  Returns False
         for a flattened re-entrant acquire; otherwise t now holds l and
         hbt[t] has joined the lock's last release HB time."""
-        self._ensure_thread(t)
-        self._ensure_lock(l)
+        if t >= len(self.hbt):
+            self._ensure_thread(t)
+        if l >= len(self.holder):
+            self._ensure_lock(l)
         owner = self.holder[l]
         if owner == t:
             # re-entrant re-acquisition: flattened, not a logical acquire
@@ -209,7 +211,8 @@ class WcpEngine:
         if owner != -1:
             raise EngineError(f"acquire of lock {l} already held by thread {owner}",
                               "DoubleAcquire")
-        self._tick(t)
+        if self.pending[t] or not self.started[t]:
+            self._tick(t)
         self.holder[l] = t
         hl = self.lock_hb[l]
         if hl is not None:
@@ -230,7 +233,8 @@ class WcpEngine:
         if not frames or frames[-1][0] != l:
             raise EngineError(f"release of lock {l} does not match innermost open section",
                               "BadNesting")
-        self._tick(t)
+        if self.pending[t] or not self.started[t]:
+            self._tick(t)
         self.holder[l] = -1
         self.pending[t] = True
         self.lock_hb[l] = tuple(self.hbt[t])
@@ -265,6 +269,7 @@ class WcpEngine:
         pred_t = self.pred[t]
         checks = self.invariant_checks
         last = None     # latest drained release time not yet folded into pred_t
+        drained = 0
         while i < end:
             entry = log_l[i]
             u = entry[0]
@@ -285,18 +290,28 @@ class WcpEngine:
             last = entry[2]
             if last is None:
                 raise EngineError("drained a critical section whose release is still pending")
-            self.queue_load -= 1
+            drained += 1
             i += 1
         if last is not None:
             join_into(pred_t, last)
         self.cursors[l][t] = i
+        self.queue_load -= drained
 
         _, entry, rset, wset = frame
         h_snap = self.lock_hb[l]
-        for x in rset:
-            self._contribute(self.read_rel_times, l, x, t, h_snap)
-        for x in wset:
-            self._contribute(self.write_rel_times, l, x, t, h_snap)
+        for rel_times, xs in ((self.read_rel_times, rset), (self.write_rel_times, wset)):
+            for x in xs:
+                # the new release dominates every earlier release of this lock
+                slot = rel_times.get((l, x))
+                if slot is None:
+                    rel_times[(l, x)] = [t, h_snap, -1, None]
+                elif slot[0] == t:
+                    slot[1] = h_snap
+                else:
+                    slot[2] = slot[0]
+                    slot[3] = slot[1]
+                    slot[0] = t
+                    slot[1] = h_snap
         self.lock_pred[l] = tuple(pred_t)
         entry[2] = h_snap
         frames = self.frames[t]
@@ -307,27 +322,19 @@ class WcpEngine:
             outer[3] |= wset
         return self._snap(t)
 
-    @staticmethod
-    def _contribute(rel_times, l: int, x: int, t: int, h_snap) -> None:
-        # the new release dominates every earlier release of this lock
-        slot = rel_times.get((l, x))
-        if slot is None:
-            rel_times[(l, x)] = [t, h_snap, -1, None]
-        elif slot[0] == t:
-            slot[1] = h_snap
-        else:
-            slot[2] = slot[0]
-            slot[3] = slot[1]
-            slot[0] = t
-            slot[1] = h_snap
-
-    def _access(self, t: int, x: int, k: int, rel_tables) -> tuple[int, ...]:
-        """Rule (a) for t's access to x; x joins access set k of t's innermost frame."""
-        self._ensure_thread(t)
-        self._tick(t)
+    def access(self, t: int, x: int, kind: int) -> tuple[int, ...]:
+        """A read or write (kind) of x by t: rule (a), and x joins the
+        access set of t's innermost frame."""
+        # per-event path: a call only when t has no row yet or a tick is owed
+        if t >= len(self.hbt):
+            self._ensure_thread(t)
+        if self.pending[t] or not self.started[t]:
+            self._tick(t)
+        pred_t = self.pred[t]
         frames = self.frames[t]
         if frames:
-            pred_t = self.pred[t]
+            rel_tables = ((self.write_rel_times,) if kind == READ
+                          else (self.read_rel_times, self.write_rel_times))
             for fr in frames:
                 key = (fr[0], x)
                 for rel_times in rel_tables:
@@ -337,14 +344,10 @@ class WcpEngine:
                             join_into(pred_t, slot[1])
                         elif slot[3] is not None:
                             join_into(pred_t, slot[3])
-            frames[-1][k].add(x)
-        return self._snap(t)
-
-    def read(self, t: int, x: int) -> tuple[int, ...]:
-        return self._access(t, x, 2, (self.write_rel_times,))
-
-    def write(self, t: int, x: int) -> tuple[int, ...]:
-        return self._access(t, x, 3, (self.read_rel_times, self.write_rel_times))
+            frames[-1][2 + kind].add(x)
+        c = pred_t[:]
+        c[t] = self.hbt[t][t]
+        return tuple(c)
 
     def fork(self, t: int, u: int) -> tuple[int, ...]:
         self._ensure_thread(max(t, u))
@@ -380,12 +383,15 @@ class WcpEngine:
 
     # -- driver ---------------------------------------------------------
 
-    _DISPATCH = {READ: read, WRITE: write, ACQUIRE: acquire, RELEASE: release,
-                 FORK: fork, JOIN: join}
+    _DISPATCH = {ACQUIRE: acquire, RELEASE: release, FORK: fork, JOIN: join}
 
     def process(self, e: Event) -> tuple[int, ...]:
         """Dispatch one event (fed in trace order); returns its timestamp."""
-        snap = self._DISPATCH[e.kind](self, e.tid, e.op)
+        kind = e.kind
+        if kind <= WRITE:
+            snap = self.access(e.tid, e.op, kind)
+        else:
+            snap = self._DISPATCH[kind](self, e.tid, e.op)
         if self.invariant_checks:
             self._check_invariants(e.tid)
         return snap

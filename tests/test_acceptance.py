@@ -191,13 +191,11 @@ def test_criterion_6_linear_scaling():
     def run(n):
         eng = WcpEngine()
         clocks = AccessClocks()
-        read, write, acq, rel = eng.read, eng.write, eng.acquire, eng.release
+        access, acq, rel = eng.access, eng.acquire, eng.release
         t0 = time.perf_counter()
         for k, t, op in iter_scaling(n, threads=8, locks=32):
-            if k == 0:
-                check_access(clocks, 0, op, (t, read(t, op)))
-            elif k == 1:
-                check_access(clocks, 1, op, (t, write(t, op)))
+            if k <= 1:
+                check_access(clocks, k, op, (t, access(t, op, k)))
             elif k == 2:
                 acq(t, op)
             else:

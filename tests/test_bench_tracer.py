@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from racepred.trace_model import WRITE, load_trace
 from racepred.tracegen import GenParams, gen_random
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -34,16 +35,23 @@ def run_tracer(mode, trace, tmp_path, *args):
 
 @pytest.mark.parametrize("args", [["--detector", "both"], ["--detector", "wcp", "--pairs"]])
 def test_tracer_sees_every_layer(racy_trace, tmp_path, args):
+    # exact counts: a trim of the per-event chain that calls past a patched
+    # name would otherwise shrink a per-layer metric without any failure
     pairs = "--pairs" in args
+    trace = load_trace(str(racy_trace))
+    accesses = sum(e.kind <= WRITE for e in trace.events)
+    detectors = 1 if pairs else 2
     layers = run_tracer("timed", racy_trace, tmp_path, *args)["layers"]
     calls = {name: layer["calls"] for name, layer in layers.items()}
-    assert calls.get("trace_model.iter_parse", 0) > 0
-    assert sum(n for name, n in calls.items() if name.startswith("wcp_engine.process.")) > 0
-    assert calls.get("race_reporter.check_access", 0) > 0
+    assert calls.get("trace_model.iter_parse", 0) == trace.n_events + 1
+    assert sum(n for name, n in calls.items()
+               if name.startswith("wcp_engine.process.")) == trace.n_events
+    assert calls.get("race_reporter.check_access", 0) == detectors * accesses
     if pairs:
-        assert calls.get("race_reporter.resolve_pairs", 0) > 0
+        assert calls.get("race_reporter.resolve_pairs", 0) == 1
 
     counts = run_tracer("count", racy_trace, tmp_path, *args)["counts"]
-    assert counts["checks"] > 0 and counts["join_calls"] > 0
+    assert counts["checks"] == detectors * accesses
+    assert counts["join_calls"] > 0
     if pairs:
         assert counts["pair_comparisons"] > 0

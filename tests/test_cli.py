@@ -13,8 +13,11 @@ from test_wcp_engine import gen_forky
 
 from racepred import cli, wcp_engine
 from racepred.cli import build_parser, main
+from racepred.hb_engine import HbEngine, validate
 from racepred.race_reporter import MemoryBudgetExceeded, RacePair
+from racepred.trace_model import parse_trace
 from racepred.tracegen import GenParams, fixture, gen_random
+from racepred.wcp_engine import EngineError, WcpEngine
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -291,6 +294,12 @@ def test_oracle_command_fig3(capsys, fig_file):
 def test_oracle_bound(capsys, fig_file):
     code, _, err = run_cli(capsys, "oracle", "--bound", "5", fig_file("fig3"))
     assert code == 2 and "bound" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--bound", "-1", fig_file("fig3")])
+    assert exc.value.code == 2
+    assert "argument --bound: must be >= 0, got -1" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "oracle", "--bound", "0", fig_file("fig3"))
+    assert (code, err) == (2, "error: 18 events exceeds oracle bound 0\n")
 
 
 def test_determinism_byte_identical(capsys, fig_file):
@@ -484,3 +493,39 @@ def test_oracle_rejects_the_traces_analyze_rejects(capsys, tmp_path):
             assert o_out == ""
         codes.add((a_code, o_code))
     assert {(2, 2), (0, 0), (1, 1)} <= codes
+
+
+def test_every_engine_error_kind_and_validate_agrees_with_analyze(capsys, tmp_path):
+    # a fuzz family with three locks and up to 29 events, long enough for
+    # an acquire of l, an acquire of m and a release of l by one thread to
+    # line up: the pinned family (two locks, at most 13 events) never makes
+    # BadNesting.  Each engine runs past an error, which changes no state.
+    rng = random.Random(29)
+    operands = {"acq": ["l", "m", "n"], "rel": ["l", "m", "n"], "r": ["x", "y"],
+                "w": ["x", "y"], "fork": ["T1", "T2", "T3"], "join": ["T1", "T2", "T3"]}
+    kinds = {WcpEngine: set(), HbEngine: set()}
+    path = tmp_path / "t.std"
+    accepted = 0
+    for _ in range(200):
+        lines = []
+        for _ in range(rng.randrange(1, 30)):
+            op = rng.choice(list(operands))
+            lines.append(f"{rng.choice(['T1', 'T2', 'T3'])}|{op}|{rng.choice(operands[op])}")
+        tr = parse_trace(lines)
+        for engine_cls, seen in kinds.items():
+            engine = engine_cls()
+            for e in tr.events:
+                try:
+                    engine.process(e)
+                except EngineError as exc:
+                    seen.add(exc.kind)
+        ok = validate(tr).ok
+        accepted += ok
+        path.write_text("\n".join(lines) + "\n")
+        for detector in ("wcp", "hb"):
+            code, _, _ = run_cli(capsys, "analyze", "--detector", detector, str(path))
+            assert (code != 2) == ok, (detector, lines)
+    assert 5 <= accepted < 195
+    for seen in kinds.values():
+        assert seen == {"DoubleAcquire", "UnmatchedRelease", "BadNesting",
+                        "ForkOfKnownThread", "JoinOfLiveThread"}

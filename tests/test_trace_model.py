@@ -236,3 +236,67 @@ def test_validate_ok_implies_engines_accept():
             else:
                 assert rep.ok, (engine_cls.detector, lines, rep.violations)
     assert accepted > 500
+
+
+def parse_fuzz_streams(rng, count):
+    """Seeded input streams that repeat a small pool of valid lines, so a
+    parse cache keyed on (thread, op, operand) gets hits, mixed with
+    comments, blank lines and malformed lines."""
+    valid = []
+    for tid in ("T1", "T2", "t.3"):
+        for op, operands in (("r", ("x", "y")), ("w", ("x",)), ("acq", ("l",)),
+                             ("rel", ("l",)), ("fork", ("T2",)), ("join", ("t.3",))):
+            for operand in operands:
+                key = f"{tid}|{op}|{operand}"
+                valid += [key, f"{key}|Main.java:1", f"{key}|Main.java:2", f"{key}|a|b|c",
+                          f"{key}|", f"{key}|café"]
+    other = ["# comment", "# a|b|c", "# a|b|c|d", "", "   ", "\t# indented|w|x|y", "T1|w|x y",
+             "T1|w|x ", "T2|r|y\r", "T1|r|x\t|loc",
+             "T1|bogus|x|loc", "T1|acquire|l", "T1|r||loc", "T1|r|", "T1|r", "T1", "|r|x|loc",
+             "T 1|r|x|loc", " T1|r|x|loc", "T1|w|x y|loc", "T1|acq|l!|loc", "T1|fork|T 2|a",
+             "T1|w|x|a\udcffb", "T1|w|x\udcff|loc", "# caf\udcc3", "T1\udcff|w|x"]
+    for _ in range(count):
+        pool = rng.sample(valid, 8)
+        lines = []
+        for _ in range(rng.randrange(1, 80)):
+            line = rng.choice(other) if rng.random() < 0.02 else rng.choice(pool)
+            lines.append(line + "\n" if rng.random() < 0.9 else line)
+        yield lines
+
+
+def parse_each(lines):
+    """Reference: parse_line on every line, with a fresh Trace."""
+    trace, events, error = Trace(), [], None
+    try:
+        for line_no, line in enumerate(lines, 1):
+            e = trace.parse_line(line, line_no)
+            if e is not None:
+                events.append(e)
+    except ParseError as exc:
+        error = (str(exc), exc.line_no)
+    return trace, events, error
+
+
+def test_iter_parse_cache_matches_parse_line():
+    # iter_parse parses a repeated (thread, op, operand) once; events, name
+    # tables, counts and errors must be those of parsing every line alone
+    rng = random.Random(15)
+    hits = errors = 0
+    for lines in parse_fuzz_streams(rng, 1500):
+        ref, ref_events, ref_error = parse_each(lines)
+        trace, events, error = Trace(), [], None
+        parsed = []
+        parse_line = trace.parse_line
+        trace.parse_line = lambda line, line_no: parsed.append(line_no) or parse_line(line, line_no)
+        try:
+            events.extend(iter_parse(lines, trace))
+        except ParseError as exc:
+            error = (str(exc), exc.line_no)
+        assert error == ref_error, lines
+        assert [(e.idx, e.tid, e.kind, e.op, e.loc) for e in events] == \
+            [(e.idx, e.tid, e.kind, e.op, e.loc) for e in ref_events], lines
+        assert (trace.thread_names, trace.lock_names, trace.var_names, trace.n_events) == \
+            (ref.thread_names, ref.lock_names, ref.var_names, ref.n_events), lines
+        hits += (len(lines) if error is None else error[1]) - len(parsed)
+        errors += error is not None
+    assert hits > 15_000 and 300 < errors < 1000
