@@ -18,9 +18,11 @@ closed.  The strict precedence relations are least fixpoints:
            events; (c) closed under HB composition.
 
 "Conflicting" is cross-thread (same variable, at least one write,
-different threads) throughout.  Fork/join edges, when present, are added
-to HB before closure so the oracle matches the engines' extension.
-Re-entrant inner acquire/release pairs are treated as inert events.
+different threads) throughout: an access conflicts with the other
+threads' writes to its variable and, for a write, their reads too, one
+mask per (variable, kind) less the thread's own.  Fork/join edges, when
+present, are added to HB before closure so the oracle matches the
+engines' extension.  Re-entrant inner acquire/release pairs are inert.
 
 Each query builds one _TraceView: the critical sections grouped by lock,
 each with the bitmask of its events and the OR of its accesses' conflict
@@ -29,14 +31,20 @@ fork/join edges.  Rule (a) is then one mask test per section pair, and
 CP and WCP share one fixpoint, _close: rule (b) is a list of (s1, s2,
 target) candidates -- s1's release is ordered before target, s2's
 acquire for CP and its release for WCP, once an event of s1 precedes one
-of s2 -- and rule (c) runs between rounds.
+of s2 -- and rule (c) runs between rounds as one sweep from the last
+event down.  HB edges point forward, so every row that HB-follows row i
+is final when i is reached, and row i is the HB right-closure of its own
+bits ORed with those rows.  That is exact while every ordered pair points
+forward, as on any well-formed trace; overlapping same-lock sections (a
+double acquire) can order a release before an earlier one, and the sweep
+still ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .trace_model import ACQUIRE, FORK, JOIN, RELEASE, WRITE, Trace, conflicting
+from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Trace
 
 DEFAULT_BOUND = 2000
 
@@ -80,30 +88,32 @@ class OrderRelation:
 
 
 def _conflicts(trace: Trace) -> list[int]:
-    """Per event, the bitmask of the accesses it conflicts with."""
+    """Per event, the bitmask of the accesses it conflicts with: the other
+    threads' writes to its variable and, for a write, their reads too."""
+    accesses = [e for e in trace.events if e.kind <= WRITE]
+    masks: dict[tuple[int, int, int], int] = {}   # (var, kind, thread or -1) -> accesses
+    for e in accesses:
+        for key in ((e.op, e.kind, e.tid), (e.op, e.kind, -1)):
+            masks[key] = masks.get(key, 0) | 1 << e.idx
     conf = [0] * trace.n_events
-    by_var: dict[int, list] = {}
-    for e in trace.events:
-        if e.kind <= WRITE:
-            seen = by_var.setdefault(e.op, [])
-            for f in seen:
-                if conflicting(f, e):
-                    conf[e.idx] |= 1 << f.idx
-                    conf[f.idx] |= 1 << e.idx
-            seen.append(e)
+    for e in accesses:
+        for kind in (READ, WRITE) if e.kind == WRITE else (WRITE,):
+            conf[e.idx] |= masks.get((e.op, kind, -1), 0) & ~masks.get((e.op, kind, e.tid), 0)
     return conf
 
 
-def _thread_order(trace: Trace) -> tuple[list[list[int]], dict[int, int]]:
-    """Each event's successor in its thread, and each thread's last event."""
+def _thread_order(trace: Trace) -> tuple[list[list[int]], dict[int, int], dict[int, int]]:
+    """Each event's successor in its thread; each thread's first and last event."""
     succs: list[list[int]] = [[] for _ in range(trace.n_events)]
+    first: dict[int, int] = {}
     last: dict[int, int] = {}
     for e in trace.events:
         j = last.get(e.tid)
         if j is not None:
             succs[j].append(e.idx)
+        first.setdefault(e.tid, e.idx)
         last[e.tid] = e.idx
-    return succs, last
+    return succs, first, last
 
 
 def _reach(succs: list[list[int]]) -> list[int]:
@@ -173,68 +183,42 @@ class _TraceView:
     def _hb_rows(self, trace: Trace) -> list[int]:
         """Thread order, release -> later same-lock acquire, fork -> child's
         first event and child's last -> join, reflexive and transitive."""
-        succs, last_in_thread = _thread_order(trace)
+        succs, first_in_thread, last_in_thread = _thread_order(trace)
         for s1, s2 in self.handoffs:
             succs[s1.rel].append(s2.acq)
-        first_in_thread: dict[int, int] = {}
         forked_at: dict[int, int] = {}
         for e in trace.events:
-            first_in_thread.setdefault(e.tid, e.idx)
             if e.kind == FORK:
                 forked_at.setdefault(e.op, e.idx)
-        for e in trace.events:
-            if e.kind == FORK:
-                child_first = first_in_thread.get(e.op)
-                if child_first is not None and child_first > e.idx:
-                    succs[e.idx].append(child_first)
+                if first_in_thread.get(e.op, -1) > e.idx:
+                    succs[e.idx].append(first_in_thread[e.op])
             elif e.kind == JOIN:
                 child_last = last_in_thread.get(e.op)   # final index per thread
                 if child_last is not None and child_last < e.idx:
                     succs[child_last].append(e.idx)
-                elif child_last is None and e.op in forked_at and forked_at[e.op] < e.idx:
+                elif child_last is None and e.op in forked_at:
                     # eventless child: its lifetime still orders fork before join
                     succs[forked_at[e.op]].append(e.idx)
         return _reach(succs)
 
 
 def hb_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
-    """Reflexive-transitive HB rows: thread order, release -> later
-    same-lock acquire, fork -> child's first event, child's last -> join."""
+    """Reflexive-transitive HB rows (see _TraceView._hb_rows)."""
     view = _TraceView(trace, bound)
     return OrderRelation(view.n, view.hb, HB)
 
 
 def _compose_with_hb(rows: list[int], hb: list[int]) -> None:
-    """Close rows under composition with HB on both sides."""
-    n = len(rows)
-    while True:
-        changed = False
-        for i in range(n):
-            row = rows[i]
-            if not row:
-                continue
-            acc = row
-            r = row
-            while r:                      # i < j, j <=HB k  =>  i < k
+    """Rule (c), HB composition on both sides: one sweep, last event first."""
+    for i in range(len(rows) - 1, -1, -1):
+        acc = 0
+        # i < j, j <=HB k  =>  i < k;  then  i <=HB c, c < j  =>  i < j
+        for table, r in ((hb, rows[i]), (rows, hb[i] & ~(1 << i))):
+            while r:
                 low = r & -r
-                acc |= hb[low.bit_length() - 1]
+                acc |= table[low.bit_length() - 1]
                 r ^= low
-            acc &= ~(1 << i)              # the relations stay irreflexive here
-            if acc != row:
-                rows[i] = acc
-                changed = True
-        for i in range(n):
-            acc = rows[i]
-            r = hb[i] & ~(1 << i)
-            while r:                      # i <=HB c, c < j  =>  i < j
-                low = r & -r
-                acc |= rows[low.bit_length() - 1]
-                r ^= low
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
-        if not changed:
-            return
+        rows[i] = acc & ~(1 << i)         # the relations stay irreflexive here
 
 
 def _close(view: _TraceView, rows: list[int], candidates, kind: str) -> OrderRelation:

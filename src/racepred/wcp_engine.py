@@ -13,15 +13,16 @@ its first event or its fork.
 
 Per lock: its owner holder[l] (-1 when free) and depth[l], the number of
 flattened re-acquires still open, so t holds l exactly when holder[l] ==
-t.  Also the pred/hbt values of the last release, and an append-only log
-of critical sections (owner, acquire-time, release-HB-time) with one
-read cursor per thread.  A release drains its cursor forward while the
-logged acquire time is <= the live current time, folding the logged
-release time into pred; entries the releasing thread wrote itself are
-skipped.  This is the release-release ordering rule: once a foreign
-acquire time is dominated, some event of that section is WCP-ordered
-below us, so its release must be too, and one drained section can
-unlock the next.
+t.  A flattened acquire or release is inert, but it is still an event of
+t, so it takes the owed bump.  Also the pred/hbt values of the last
+release, and an append-only log of critical sections (owner,
+acquire-time, release-HB-time) with one read cursor per thread.  A
+release drains its cursor forward while the logged acquire time is <=
+the live current time, folding the logged release time into pred;
+entries the releasing thread wrote itself are skipped.  This is the
+release-release ordering rule: once a foreign acquire time is dominated,
+some event of that section is WCP-ordered below us, so its release must
+be too, and one drained section can unlock the next.
 
 queue_load sums the paper's per-thread queues: the entries each started
 thread has yet to drain.  A thread's backlog, the whole log so far,
@@ -170,7 +171,8 @@ class WcpEngine:
     def _tick(self, t: int) -> None:
         # local clock bump owed since t's last release or fork
         if self.pending[t]:
-            self._refuse_if_joined(t)
+            if self.pending[t] == JOINED:
+                raise EngineError(f"thread {t} acts after being joined", "JoinOfLiveThread")
             self.pending[t] = False
             self.hbt[t][t] += 1
         if not self.started[t]:
@@ -183,10 +185,6 @@ class WcpEngine:
         self.queue_load += self.total_entries
         if self.queue_load > self.max_queue_load:
             self.max_queue_load = self.queue_load
-
-    def _refuse_if_joined(self, t: int) -> None:
-        if self.pending[t] == JOINED:
-            raise EngineError(f"thread {t} acts after being joined", "JoinOfLiveThread")
 
     def _snap(self, t: int) -> tuple[int, ...]:
         c = self.pred[t][:]
@@ -203,8 +201,8 @@ class WcpEngine:
             self._ensure_lock(l)
         owner = self.holder[l]
         if owner == t:
-            # re-entrant re-acquisition: flattened, not a logical acquire
-            self._refuse_if_joined(t)
+            # re-entrant re-acquisition: flattened, yet an event of t
+            self._tick(t)
             self.depth[l] += 1
             self.reentrant_flattened += 1
             return False
@@ -226,7 +224,7 @@ class WcpEngine:
         if l >= len(self.holder) or self.holder[l] != t:
             raise EngineError(f"release of lock {l} not held by thread {t}", "UnmatchedRelease")
         if self.depth[l]:
-            self._refuse_if_joined(t)
+            self._tick(t)
             self.depth[l] -= 1
             return None
         frames = self.frames[t]

@@ -144,3 +144,16 @@ def test_dump_lines():
     assert all(line.startswith("PREC|wcp|") for line in lines)
     i, j = idx(tr, "fig3:3"), idx(tr, "fig3:12")
     assert f"PREC|wcp|{i}|{j}" not in lines
+
+
+def test_closure_ends_when_a_release_is_ordered_before_an_earlier_one():
+    # T2's l-section (4-8) overlaps T1's (0-12), a double acquire.  Rule (b)
+    # orders T1's release of l before T2's, an earlier event that HB-precedes
+    # it through lock n: a cycle, which the closure must survive
+    tr = parse_trace([
+        "T1|acq|l", "T1|acq|m", "T1|w|x", "T1|rel|m", "T2|acq|l", "T2|acq|m", "T2|r|x",
+        "T2|rel|m", "T2|rel|l", "T2|acq|n", "T2|rel|n", "T1|acq|n", "T1|rel|l",
+    ])
+    w = wcp_prec_closure(tr)
+    assert w.holds(12, 8) and hb_closure(tr).holds(8, 12)
+    assert not any(w.holds(i, i) for i in range(tr.n_events))
