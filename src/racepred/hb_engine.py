@@ -46,7 +46,6 @@ class HbEngine(WcpEngine):
         return tuple(self.hbt[t])
 
     def access(self, t: int, x: int, kind: int) -> tuple[int, ...]:
-        self._ensure_thread(t)
         self._tick(t)
         return tuple(self.hbt[t])
 

@@ -13,7 +13,10 @@ Otherwise it is their join, compared with leq.
 Pass 2 (optional) walks the access records that pass 1 kept, in trace
 order, retaining every access to a flagged variable; at each flagged
 access it emits one pair per earlier conflicting access with an
-incomparable timestamp, without an engine.
+incomparable timestamp, without an engine.  One order test decides
+that: the retained access comes first in the trace, and since
+timestamps are epochs, a later event of another thread is never ordered
+before it, so only "retained <= flagged" can hold.
 Pairs are deduplicated by their unordered program-location pair, with a
 count, minimum event-index separation, and one example pair of indices.
 Only the first flagged pair is guaranteed to be a real race (an
@@ -209,8 +212,7 @@ def resolve_pairs(trace: Trace, clocks: AccessClocks,
             else:
                 latest = None
                 for i1, t1, k1, _, loc1, c1 in retained[x]:
-                    if (t1 != tid and (k1 == WRITE or kind == WRITE)
-                            and not leq(c1, c) and not leq(c, c1)):
+                    if t1 != tid and (k1 == WRITE or kind == WRITE) and not leq(c1, c):
                         latest = add_pair(loc1, i1, loc, idx)
                 if latest is not None and idx == first_flag_idx:
                     agg[latest][3] = True   # the guarantee covers the closest such pair

@@ -47,6 +47,8 @@ Per (lock, variable): the release-HB-times of sections over the lock
 that read/wrote the variable, for rule (a), which access applies in
 every section the accessing thread holds: a read joins the times of
 sections that wrote the variable, a write those that read or wrote it.
+The access also joins the read or write set of every section its
+thread holds, so a release files its own section's sets, complete.
 Only releases by *other* threads count: an access is ordered after an
 earlier release only when that release's section holds a conflicting
 (hence cross-thread) access, and folding a thread's own release times
@@ -169,7 +171,10 @@ class WcpEngine:
             self.cursors.append({})
 
     def _tick(self, t: int) -> None:
-        # local clock bump owed since t's last release or fork
+        # t's row if it has none, the local clock bump owed since t's last
+        # release or fork, and t's start at its first event
+        if t >= len(self.hbt):
+            self._ensure_thread(t)
         if self.pending[t]:
             if self.pending[t] == JOINED:
                 raise EngineError(f"thread {t} acts after being joined", "JoinOfLiveThread")
@@ -195,8 +200,6 @@ class WcpEngine:
         """Lock discipline and HB's lock rule of an acquire.  Returns False
         for a flattened re-entrant acquire; otherwise t now holds l and
         hbt[t] has joined the lock's last release HB time."""
-        if t >= len(self.hbt):
-            self._ensure_thread(t)
         if l >= len(self.holder):
             self._ensure_lock(l)
         owner = self.holder[l]
@@ -209,7 +212,7 @@ class WcpEngine:
         if owner != -1:
             raise EngineError(f"acquire of lock {l} already held by thread {owner}",
                               "DoubleAcquire")
-        if self.pending[t] or not self.started[t]:
+        if t >= len(self.hbt) or self.pending[t] or not self.started[t]:
             self._tick(t)
         self.holder[l] = t
         hl = self.lock_hb[l]
@@ -231,7 +234,7 @@ class WcpEngine:
         if not frames or frames[-1][0] != l:
             raise EngineError(f"release of lock {l} does not match innermost open section",
                               "BadNesting")
-        if self.pending[t] or not self.started[t]:
+        if self.pending[t]:     # t holds l, so it has started
             self._tick(t)
         self.holder[l] = -1
         self.pending[t] = True
@@ -312,21 +315,13 @@ class WcpEngine:
                     slot[1] = h_snap
         self.lock_pred[l] = tuple(pred_t)
         entry[2] = h_snap
-        frames = self.frames[t]
-        if frames:
-            # nested accesses belong to the enclosing section too
-            outer = frames[-1]
-            outer[2] |= rset
-            outer[3] |= wset
         return self._snap(t)
 
     def access(self, t: int, x: int, kind: int) -> tuple[int, ...]:
         """A read or write (kind) of x by t: rule (a), and x joins the
-        access set of t's innermost frame."""
-        # per-event path: a call only when t has no row yet or a tick is owed
-        if t >= len(self.hbt):
-            self._ensure_thread(t)
-        if self.pending[t] or not self.started[t]:
+        access set of every section t holds."""
+        # per-event path: _tick only for a new row, an owed bump or a first event
+        if t >= len(self.hbt) or self.pending[t] or not self.started[t]:
             self._tick(t)
         pred_t = self.pred[t]
         frames = self.frames[t]
@@ -342,7 +337,7 @@ class WcpEngine:
                             join_into(pred_t, slot[1])
                         elif slot[3] is not None:
                             join_into(pred_t, slot[3])
-            frames[-1][2 + kind].add(x)
+                fr[2 + kind].add(x)
         c = pred_t[:]
         c[t] = self.hbt[t][t]
         return tuple(c)
@@ -372,8 +367,9 @@ class WcpEngine:
         # exporting its HB clock below ends its last granule
         self.pending[u] = JOINED
         if not self.started[u]:
-            self.warnings.append(EngineWarning("JoinOfUnknownThread",
-                                               f"join of unknown thread {u} ignored"))
+            self.warnings.append(EngineWarning("JoinOfUnknownThread", f"join of thread {u}, "
+                                               "which has not started: nothing to join, "
+                                               "and it may not act later"))
             return self._snap(t)
         join_into(self.hbt[t], self.hbt[u])
         join_into(self.pred[t], self.pred[u])

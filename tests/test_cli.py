@@ -138,14 +138,16 @@ def test_analyze_prints_engine_warnings_by_name(capsys, tmp_path):
         code, out, err = run_cli(capsys, "analyze", *argv, str(p))
         # one pass-1 engine, so one warning; stdout is the report alone
         assert code == 1 and "threads=3" in out and "warning" not in out
-        assert err.splitlines()[0] == \
-            "warning: event 1 (T1|join|T9): join of unknown thread T9 ignored"
+        assert err.splitlines()[0] == (
+            "warning: event 1 (T1|join|T9): join of thread T9, which has not started: "
+            "nothing to join, and it may not act later")
         assert err.count("warning:") == 1
     # a warning before an engine error is printed too, ahead of the error
     p.write_text("T1|join|T9\nT1|rel|m\n")
     code, out, err = run_cli(capsys, "analyze", str(p))
     assert (code, out) == (2, "")
-    assert err == ("warning: event 0 (T1|join|T9): join of unknown thread T9 ignored\n"
+    assert err == ("warning: event 0 (T1|join|T9): join of thread T9, which has not started: "
+                   "nothing to join, and it may not act later\n"
                    "error: event 1 (T1|rel|m): release of lock m not held by thread T1\n")
 
 

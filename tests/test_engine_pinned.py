@@ -22,7 +22,7 @@ DIGESTS = {
     "forky_200":
         "fe6f61b82193c7609a8a97ad13020d9d138c8a0a3f0f7ad7126d10fdcfeb5fb7",
     "fuzz_300":
-        "f58cfb5f4059f6a0f7712840fe8ed86ce4c97af302027285de6fb5924cc07762",
+        "82d7e63793218c19eca6dd85d01b20d1e233be1d341c2945c6b26617fb987221",
 }
 
 
