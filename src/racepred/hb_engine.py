@@ -38,7 +38,7 @@ class HbEngine(WcpEngine):
 
     def acquire(self, t: int, l: int) -> tuple[int, ...]:
         if self._enter(t, l):
-            self.frames[t].append((l,))     # no section log, no access sets
+            self.frames[t].append((l,))     # no section log
         return tuple(self.hbt[t])
 
     def release(self, t: int, l: int) -> tuple[int, ...]:

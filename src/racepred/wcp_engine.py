@@ -43,21 +43,23 @@ drain ends, so pred and every timestamp are those of eager folding.
 With invariant_checks on, every epoch test is also compared with the
 full leq.
 
-Per (lock, variable): the release-HB-times of sections over the lock
-that read/wrote the variable, for rule (a), which access applies in
-every section the accessing thread holds: a read joins the times of
-sections that wrote the variable, a write those that read or wrote it.
-The access also joins the read or write set of every section its
-thread holds, so a release files its own section's sets, complete.
-Only releases by *other* threads count: an access is ordered after an
-earlier release only when that release's section holds a conflicting
-(hence cross-thread) access, and folding a thread's own release times
-here would smuggle HB-only knowledge into pred and over-order.  Since every
-release of a lock dominates all earlier releases of that lock (its
-acquire joined the lock's HB clock), the contributions form a chain, so
-it suffices to keep the latest contribution and the latest one from any
-other thread: whichever of the two is foreign to the accessor is exactly
-the join of all foreign contributions.
+Per (lock, variable), for rule (a): two slots of the lock's section log
+entries, each [latest, latest with another owner], one over sections
+that accessed the variable and one over those that wrote it.  An access
+by t applies the rule in each section t holds, then files that
+section's entry: as the latest accessor and, for a write, the latest
+writer.  A read joins the release time entry[2] of the latest foreign
+writer, a write that of the latest foreign accessor.  Only *other*
+threads count: a release orders a later access only through a
+conflicting (hence cross-thread) access, and folding t's own release
+times would smuggle HB-only knowledge into pred.  The release times of
+one lock form a chain (each acquire joins the lock's HB clock), so the
+slot entry foreign to t is the latest foreign one and covers all earlier
+ones, and a write needs one chain: the latest foreign accessor covers
+the latest foreign reader and writer.  Filing at the access is exact: a
+foreign entry is closed, since t holds the lock; t's own open entry
+fails the owner test entry[0] == t; and sections over one lock never
+overlap, so access order files the same latest entry as release order.
 
 Cross-thread orderings carry the releaser's full HB time, never just its
 own components, so everything HB-below the ordering's source arrives too.
@@ -126,7 +128,7 @@ class WcpEngine:
         self.hbt: list[list[int]] = []
         self.pending: list[bool | int] = []    # bump owed, or JOINED
         self.started: list[bool] = []          # performed an event or was forked
-        self.frames: list[list[list]] = []     # [lock, log entry, rset, wset]; sets at 2 + kind
+        self.frames: list[list[tuple]] = []    # (lock, log entry), innermost last
         # per lock
         self.lock_pred: list[tuple[int, ...] | None] = []
         self.lock_hb: list[tuple[int, ...] | None] = []
@@ -134,10 +136,10 @@ class WcpEngine:
         self.depth: list[int] = []             # flattened re-acquires still open
         self.log: list[list[list]] = []        # [owner, acq time, rel time | None]
         self.cursors: list[dict[int, int]] = []  # thread -> log index, 0 if absent
-        # per (lock, var): [thread1, time1, thread2, time2] -- the latest
-        # contributing release and the latest one by a different thread
-        self.read_rel_times: dict[tuple[int, int], list] = {}
-        self.write_rel_times: dict[tuple[int, int], list] = {}
+        # per (lock, var): [latest, latest with another owner] of the lock's
+        # log entries whose section accessed (wrote) the var
+        self.accessed_by: dict[tuple[int, int], list] = {}
+        self.written_by: dict[tuple[int, int], list] = {}
 
         self.reentrant_flattened = 0
         self.warnings: list[EngineWarning] = []
@@ -256,7 +258,7 @@ class WcpEngine:
         self.queue_load += self.nstarted - 1
         if self.queue_load > self.max_queue_load:
             self.max_queue_load = self.queue_load
-        self.frames[t].append([l, entry, set(), set()])
+        self.frames[t].append((l, entry))
         return snap
 
     def release(self, t: int, l: int) -> tuple[int, ...]:
@@ -297,47 +299,38 @@ class WcpEngine:
             join_into(pred_t, last)
         self.cursors[l][t] = i
         self.queue_load -= drained
-
-        _, entry, rset, wset = frame
-        h_snap = self.lock_hb[l]
-        for rel_times, xs in ((self.read_rel_times, rset), (self.write_rel_times, wset)):
-            for x in xs:
-                # the new release dominates every earlier release of this lock
-                slot = rel_times.get((l, x))
-                if slot is None:
-                    rel_times[(l, x)] = [t, h_snap, -1, None]
-                elif slot[0] == t:
-                    slot[1] = h_snap
-                else:
-                    slot[2] = slot[0]
-                    slot[3] = slot[1]
-                    slot[0] = t
-                    slot[1] = h_snap
         self.lock_pred[l] = tuple(pred_t)
-        entry[2] = h_snap
+        frame[1][2] = self.lock_hb[l]
         return self._snap(t)
 
     def access(self, t: int, x: int, kind: int) -> tuple[int, ...]:
-        """A read or write (kind) of x by t: rule (a), and x joins the
-        access set of every section t holds."""
+        """A read or write (kind) of x by t: rule (a) in every section t
+        holds, each then filed as the latest over its lock to access (write) x."""
         # per-event path: _tick only for a new row, an owed bump or a first event
         if t >= len(self.hbt) or self.pending[t] or not self.started[t]:
             self._tick(t)
         pred_t = self.pred[t]
         frames = self.frames[t]
         if frames:
-            rel_tables = ((self.write_rel_times,) if kind == READ
-                          else (self.read_rel_times, self.write_rel_times))
-            for fr in frames:
-                key = (fr[0], x)
-                for rel_times in rel_tables:
-                    slot = rel_times.get(key)
-                    if slot is not None:
-                        if slot[0] != t:
-                            join_into(pred_t, slot[1])
-                        elif slot[3] is not None:
-                            join_into(pred_t, slot[3])
-                fr[2 + kind].add(x)
+            accessed, written = self.accessed_by, self.written_by
+            consult = written if kind == READ else accessed
+            tables = (accessed,) if kind == READ else (accessed, written)
+            for l, entry in frames:
+                key = (l, x)
+                slot = consult.get(key)
+                if slot is not None:
+                    # the latest foreign section: closed, since t holds l
+                    last = slot[1] if slot[0][0] == t else slot[0]
+                    if last is not None:
+                        join_into(pred_t, last[2])
+                for table in tables:
+                    slot = table.get(key)
+                    if slot is None:
+                        table[key] = [entry, None]
+                    else:
+                        if slot[0][0] != t:
+                            slot[1] = slot[0]
+                        slot[0] = entry
         c = pred_t[:]
         c[t] = self.hbt[t][t]
         return tuple(c)

@@ -2,9 +2,11 @@ import pytest
 
 from racepred import oracle
 from racepred.hb_engine import validate
+from racepred.race_reporter import AccessClocks, run_detector
 from racepred.trace_model import ACQUIRE, READ, RELEASE, WRITE, parse_trace
 from racepred.tracegen import (FIXTURE_NAMES, GenParams, fixture, fixtures,
                                gen_equality_trace, gen_random, iter_scaling)
+from racepred.wcp_engine import WcpEngine
 
 
 def test_fixture_inventory():
@@ -96,9 +98,11 @@ def test_equality_trace_validates():
         assert validate(gen_equality_trace(u, v)).ok
 
 
-def test_iter_scaling_wellformed():
-    events = list(iter_scaling(3000, threads=4, locks=8))
-    assert len(events) == 3000
+# 3000 is whole burst turns; 3005 ends in 5 filler reads; 5 is filler only
+@pytest.mark.parametrize("n", [3000, 3005, 5])
+def test_iter_scaling_wellformed(n):
+    events = list(iter_scaling(n, threads=4, locks=8))
+    assert len(events) == n
     lines = []
     for k, t, op in events:
         tok = {READ: "r", WRITE: "w", ACQUIRE: "acq", RELEASE: "rel"}[k]
@@ -106,3 +110,7 @@ def test_iter_scaling_wellformed():
         lines.append(f"t{t}|{tok}|{name}")
     tr = parse_trace(lines)
     assert validate(tr).ok
+    # race-free: neither the WCP nor the HB detector flags an access
+    hb = AccessClocks()
+    assert run_detector(tr.events, WcpEngine(), AccessClocks(), hb=hb) == []
+    assert hb.flags == []

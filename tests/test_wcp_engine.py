@@ -36,15 +36,16 @@ def test_fig1b_timestamps_and_clocks():
     assert not leq(stamps[0], stamps[7]) and not leq(stamps[7], stamps[0])
 
 
-def test_fig1b_release_read_times():
+def test_fig1b_accessed_by_slot():
     tr = fixture("fig1b")
     eng, _ = run(tr)
     l = tr.lock_names.index("l")
     x = tr.var_names.index("x")
-    slot = eng.read_rel_times[(l, x)]
-    # latest contribution is t2's release with H=[1,1]; t1's [1,0] sits behind
-    assert slot[0] == 1 and tuple(slot[1]) == (1, 1)
-    assert slot[2] == 0 and tuple(slot[3]) == (1,)
+    latest, foreign = eng.accessed_by[(l, x)]
+    # latest section is t2's, released at H=[1,1]; t1's, released at [1,0], sits behind
+    assert latest[0] == 1 and tuple(latest[2]) == (1, 1)
+    assert foreign[0] == 0 and tuple(foreign[2]) == (1,)
+    assert (l, x) not in eng.written_by     # both sections only read x
 
 
 def test_fig2a_rule_a_edge_orders_reads():
@@ -81,7 +82,7 @@ def test_release_with_empty_sets_and_history():
     eng, stamps = run(tr)
     l = 0
     assert eng.lock_hb[l] == (1,) and eng.lock_pred[l] == (0,)
-    assert not eng.read_rel_times and not eng.write_rel_times
+    assert not eng.accessed_by and not eng.written_by
     # pending increment lands on the next event of the thread
     assert stamps == [(1,), (1,), (2,)]
 
