@@ -117,7 +117,6 @@ def _analyze_into(args: argparse.Namespace, out, mf, dumped) -> int:
     if dumped is not None:
         dumped.seek(0)
         shutil.copyfileobj(dumped, out)
-    any_race = False
     metrics_lines: list[str] = []
     if args.pairs and "wcp" in detectors:
         out.write("# note|wcp|only the first reported pair carries the soundness "
@@ -132,11 +131,9 @@ def _analyze_into(args: argparse.Namespace, out, mf, dumped) -> int:
             for p in pairs:
                 out.write(p.render(det) + "\n")
             pair_count = len(pairs)
-            any_race = any_race or bool(pairs)
         else:
             for line in render_flags(trace, det_flags, det):
                 out.write(line + "\n")
-            any_race = any_race or bool(det_flags)
         # HB keeps no section log, so it has no queue load
         mql = max_queue_load if det == "wcp" else 0
         block = summary_lines(det, counts, len(det_flags), mql, pair_count)
@@ -149,7 +146,8 @@ def _analyze_into(args: argparse.Namespace, out, mf, dumped) -> int:
         for line in metrics_lines:
             mf.write(line + "\n")
         mf.write(f"time_s={elapsed:.3f}\n")
-    return 1 if any_race else 0
+    # every flag is reported: as a FLAG line, or in some RACE line
+    return 1 if any(flags for _, flags, _ in reports) else 0
 
 
 def _validate(args: argparse.Namespace, out) -> int:

@@ -78,9 +78,6 @@ class OrderRelation:
                 yield i, low.bit_length() - 1
                 row ^= low
 
-    def contains(self, other: "OrderRelation") -> bool:
-        return all(o & ~s == 0 for s, o in zip(self.bits, other.bits))
-
     def dump_lines(self):
         tag = {HB: "hb", CP_PREC: "cp", WCP_PREC: "wcp", CP_LE: "cple", WCP_LE: "wcple"}[self.kind]
         for i, j in self.pairs():

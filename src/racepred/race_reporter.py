@@ -17,27 +17,23 @@ incomparable timestamp, without an engine.  One order test decides
 that: the retained access comes first in the trace, and since
 timestamps are epochs, a later event of another thread is never ordered
 before it, so only "retained <= flagged" can hold.
-Pairs are deduplicated by their unordered program-location pair, with a
-count, minimum event-index separation, and one example pair of indices.
+Each unordered program-location pair is one RacePair, updated in place:
+a count, minimum event-index separation, and one example pair of indices.
 Only the first flagged pair is guaranteed to be a real race (an
 unordered pair may also witness a predictable deadlock); it is marked
-sound and the rest heuristic.
+sound and the rest heuristic.  Past the pair budget, a variable's
+records are dropped and its flags pair with the unknown first component
+"?", so every flag yields a pair.
 """
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .trace_model import JOIN, Event, Trace, READ, WRITE
 from .vclock import join_into, leq
 from .wcp_engine import EngineError
-
-
-class MemoryBudgetExceeded(Warning):
-    """Pass-2 retention hit the pair budget; the offending variable's
-    pairs degrade to second-components-only."""
 
 
 @dataclass
@@ -172,65 +168,58 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks,
 def resolve_pairs(trace: Trace, clocks: AccessClocks,
                   pair_budget: int = 10_000_000) -> tuple[list[RacePair], list[str]]:
     """Pass 2: resolve every flag in clocks into full location pairs, from
-    its access records.
+    its access records; returns them sorted, and one note per degraded
+    variable.
 
-    Retains accesses only for flagged variables.  If total retention
-    exceeds pair_budget, the variable that hit the cap degrades: its
-    flags are reported with an unknown first component.  Deterministic
-    and idempotent for given records and flags.
+    Retains accesses only for flagged variables, at most pair_budget at
+    once.  The variable whose access exceeds it degrades: its flags are
+    reported with an unknown first component ("?", index -1, mindist -1).
+    Deterministic and idempotent for given records and flags.
     """
     notes: list[str] = []
-    flagged_vars = {f.var for f in clocks.flags}
     flagged_at = {f.idx for f in clocks.flags}
     first_flag_idx = min(flagged_at, default=None)
-    retained: dict[int, list[tuple]] = {x: [] for x in flagged_vars}
-    degraded: set[int] = set()
+    # flagged variable -> its retained records, or None once it has degraded
+    retained: dict[int, list[tuple] | None] = {f.var: [] for f in clocks.flags}
     budget_used = 0
-    # (loc_a, loc_b) -> [count, min_distance, example, sound]
-    agg: dict[tuple[str, str], list] = {}
+    agg: dict[tuple[str, str], RacePair] = {}
 
-    def add_pair(loc1: str, i1: int, loc2: str, i2: int) -> tuple[str, str]:
+    def add_pair(loc1: str, i1: int, loc2: str, i2: int) -> RacePair:
         key = (loc1, loc2) if loc1 <= loc2 else (loc2, loc1)
-        dist = i2 - i1
-        rec = agg.get(key)
-        if rec is None:
-            agg[key] = [1, dist, (i1, i2), False]
-        else:
-            rec[0] += 1
-            if dist < rec[1]:
-                rec[1] = dist
-                rec[2] = (i1, i2)
-        return key
+        dist = i2 - i1 if i1 >= 0 else -1
+        p = agg.get(key)
+        if p is None:
+            p = agg[key] = RacePair(*key, 0, dist, (i1, i2), False)
+        p.count += 1
+        if dist < p.min_distance:
+            p.min_distance = dist
+            p.example = (i1, i2)
+        return p
 
     for record in clocks.records:
         idx, tid, kind, x, loc, c = record
-        if x not in flagged_vars:
+        if x not in retained:
             continue
+        kept = retained[x]
         if idx in flagged_at:
-            if x in degraded:
+            if kept is None:
                 add_pair("?", -1, loc, idx)
             else:
                 latest = None
-                for i1, t1, k1, _, loc1, c1 in retained[x]:
+                for i1, t1, k1, _, loc1, c1 in kept:
                     if t1 != tid and (k1 == WRITE or kind == WRITE) and not leq(c1, c):
                         latest = add_pair(loc1, i1, loc, idx)
                 if latest is not None and idx == first_flag_idx:
-                    agg[latest][3] = True   # the guarantee covers the closest such pair
-        if x not in degraded:
-            retained[x].append(record)
+                    latest.sound = True     # the guarantee covers the closest such pair
+        if kept is not None:
+            kept.append(record)
             budget_used += 1
             if budget_used > pair_budget:
-                budget_used -= len(retained[x])
-                retained[x] = []
-                degraded.add(x)
-                msg = (f"pair budget {pair_budget} exceeded at event {idx}; "
-                       f"races on variable {trace.var_names[x]} degraded to second components")
-                notes.append(msg)
-                _warnings.warn(msg, MemoryBudgetExceeded)
-
-    pairs = [RacePair(k[0], k[1], rec[0], rec[1], rec[2], rec[3])
-             for k, rec in sorted(agg.items())]
-    return pairs, notes
+                budget_used -= len(kept)
+                retained[x] = None
+                notes.append(f"pair budget {pair_budget} exceeded at event {idx}; "
+                             f"races on variable {trace.var_names[x]} degraded to second components")
+    return [agg[k] for k in sorted(agg)], notes
 
 
 def render_flags(trace: Trace, flags: list[Flag], detector: str) -> list[str]:

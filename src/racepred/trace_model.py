@@ -217,14 +217,3 @@ def open_trace(path: str):
 def load_trace(path: str) -> Trace:
     with open_trace(path) as f:
         return parse_trace(f)
-
-
-def conflicting(e1: Event, e2: Event) -> bool:
-    """Same variable, at least one write, different threads."""
-    return (
-        e1.kind <= WRITE
-        and e2.kind <= WRITE
-        and e1.op == e2.op
-        and e1.tid != e2.tid
-        and (e1.kind == WRITE or e2.kind == WRITE)
-    )

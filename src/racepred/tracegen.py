@@ -102,14 +102,6 @@ def fixtures() -> dict[str, Trace]:
     return {name: fixture(name) for name in FIXTURE_NAMES}
 
 
-def find_by_loc(trace: Trace, loc: str) -> int:
-    """Index of the unique event carrying loc (first one for expanded lines)."""
-    for e in trace.events:
-        if e.loc == loc:
-            return e.idx
-    raise KeyError(loc)
-
-
 def gen_equality_trace(u: str, v: str) -> Trace:
     """Three-thread gadget whose two w(z) events are WCP-ordered iff u == v.
 

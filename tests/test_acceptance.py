@@ -9,14 +9,14 @@ import itertools
 import random
 import time
 
+from helpers import contains, find_by_loc
 from test_wcp_engine import record
 
 from racepred import oracle
 from racepred.cli import main
 from racepred.hb_engine import HbEngine
 from racepred.race_reporter import AccessClocks, check_access, resolve_pairs, run_detector
-from racepred.tracegen import (find_by_loc, fixture, fixtures,
-                               gen_equality_trace, iter_scaling)
+from racepred.tracegen import fixture, fixtures, gen_equality_trace, iter_scaling
 from racepred.vclock import leq
 from racepred.wcp_engine import WcpEngine
 
@@ -102,10 +102,10 @@ def test_criterion_3_inclusion_chain(corpus, corpus_oracle):
     rels, _ = corpus_oracle
     violations = 0
     for tr, (hb, wle, cle) in zip(traces, rels):
-        if not cle.contains(wle):
+        if not contains(cle, wle):
             violations += 1
         hb_as_le = oracle.OrderRelation(tr.n_events, hb.bits, oracle.CP_LE)
-        if not hb_as_le.contains(cle):
+        if not contains(hb_as_le, cle):
             violations += 1
         rh = oracle.races_of(tr, hb)
         rc = oracle.races_of(tr, cle)

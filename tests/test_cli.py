@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from test_wcp_engine import gen_forky
 from racepred import cli, wcp_engine
 from racepred.cli import build_parser, main
 from racepred.hb_engine import HbEngine, validate
-from racepred.race_reporter import MemoryBudgetExceeded, RacePair
+from racepred.race_reporter import RacePair
 from racepred.trace_model import parse_trace
 from racepred.tracegen import GenParams, fixture, gen_random
 from racepred.wcp_engine import EngineError, WcpEngine
@@ -407,9 +408,34 @@ def test_pair_budget_rejects_negative_values(capsys, fig_file):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--pairs", "--pair-budget", "-1", fig_file("fig1b")])
     assert exc.value.code == 2 and "--pair-budget" in capsys.readouterr().err
-    with pytest.warns(MemoryBudgetExceeded):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the note is the only report
         code, out, _ = run_cli(capsys, "analyze", "--pairs", "--pair-budget", "0", fig_file("fig1b"))
-    assert code == 1 and "degraded" in out
+    assert code == 1
+    assert "# note|wcp|pair budget 0 exceeded at event 0; races on variable y degraded" in out
+
+
+def test_degraded_pairs_have_no_first_component(tmp_path):
+    # a degraded flag pairs with "?" at index -1 and no distance, one note
+    # names the variable, and stderr, as the process writes it, carries
+    # only the timing
+    path = tmp_path / "t.std"
+    path.write_text("T1|w|x|a\nT2|w|x|b\nT2|w|x|c\nT1|w|y|d\nT2|w|y|e\n")
+    proc = subprocess.run([sys.executable, "-m", "racepred.cli", "analyze", "--pairs",
+                           "--pair-budget", "0", str(path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 1
+    out, err = proc.stdout, proc.stderr
+    assert [line for line in out.splitlines() if line.startswith(("# note|wcp|pair", "RACE"))] == [
+        "# note|wcp|pair budget 0 exceeded at event 0; races on variable x degraded "
+        "to second components",
+        "# note|wcp|pair budget 0 exceeded at event 3; races on variable y degraded "
+        "to second components",
+        "RACE|wcp|?|b|count=1|mindist=-1|ex=-1,1|sound=0",
+        "RACE|wcp|?|c|count=1|mindist=-1|ex=-1,2|sound=0",
+        "RACE|wcp|?|e|count=1|mindist=-1|ex=-1,4|sound=0",
+    ]
+    assert re.fullmatch(r"time_s=\d+\.\d{3}\n", err)
 
 
 @pytest.mark.parametrize("detector", ["wcp", "hb", "both"])

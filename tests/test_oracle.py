@@ -1,10 +1,11 @@
 import pytest
+from helpers import contains, find_by_loc
 
 from racepred import oracle
 from racepred.oracle import (BoundExceeded, cp_le, cp_prec_closure, hb_closure,
                              races_of, wcp_le, wcp_prec_closure)
 from racepred.trace_model import parse_trace
-from racepred.tracegen import find_by_loc, fixture, fixtures
+from racepred.tracegen import fixture, fixtures
 
 
 def idx(tr, loc):
@@ -114,8 +115,8 @@ def test_fixpoint_idempotent():
 def test_inclusion_chain_on_fixtures():
     for name, tr in fixtures().items():
         hb, wle, cle = hb_closure(tr), wcp_le(tr), cp_le(tr)
-        assert cle.contains(wle), name
-        assert oracle.OrderRelation(tr.n_events, hb.bits, oracle.CP_LE).contains(cle), name
+        assert contains(cle, wle), name
+        assert contains(oracle.OrderRelation(tr.n_events, hb.bits, oracle.CP_LE), cle), name
         assert races_of(tr, hb) <= races_of(tr, cle) <= races_of(tr, wle), name
 
 

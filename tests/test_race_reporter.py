@@ -1,14 +1,16 @@
 import random
+import warnings
 
 import pytest
+from helpers import conflicting
 from test_wcp_engine import gen_forky
 
+from racepred.cli import main
 from racepred.hb_engine import HbEngine, validate
-from racepred.race_reporter import (AccessClocks, MemoryBudgetExceeded,
-                                    RacePair, check_access, render_flags,
-                                    resolve_pairs, run_detector)
+from racepred.race_reporter import (AccessClocks, RacePair, check_access,
+                                    render_flags, resolve_pairs, run_detector)
 from racepred.trace_model import KIND_TOKEN, READ, WRITE, Trace, parse_trace
-from racepred.tracegen import GenParams, fixture, gen_random
+from racepred.tracegen import GenParams, fixture, fixtures, gen_random
 from racepred.vclock import leq
 from racepred.wcp_engine import WcpEngine
 
@@ -91,14 +93,15 @@ def test_resolve_idempotent():
     assert a == b
 
 
-def test_pair_budget_degrades_with_warning():
+def test_pair_budget_degrades_with_one_note():
     tr = fixture("fig1b")
     _, clocks, _ = detect(tr)
-    with pytest.warns(MemoryBudgetExceeded):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the note is the only report
         pairs, notes = resolve_pairs(tr, clocks, pair_budget=0)
-    assert notes and "degraded" in notes[0]
-    assert len(pairs) == 1
-    assert pairs[0].loc_a == "?" and pairs[0].sound is False
+    assert notes == ["pair budget 0 exceeded at event 0; "
+                     "races on variable y degraded to second components"]
+    assert pairs == [RacePair("?", "fig1b:8", 1, -1, (-1, 7), False)]
 
 
 def test_sound_only_on_first_pair():
@@ -144,7 +147,6 @@ def test_flag_soundness_vs_oracle(corpus, corpus_oracle):
     # an event is flagged exactly when some earlier conflicting event is
     # unordered with it under the brute-force relation
     from racepred import oracle
-    from racepred.trace_model import conflicting
 
     traces, _ = corpus
     rels, _ = corpus_oracle
@@ -234,3 +236,47 @@ def test_resolve_pairs_matches_leq_reference():
             assert got == reference_race_lines(tr, HbEngine), (kind, seed, "both")
         assert checked > 100 and lines > {"closed": 5000, "open": 5000, "forky": 500}[kind], \
             (kind, checked, lines)
+
+
+def test_every_flag_yields_a_pair():
+    # analyze exits 1 exactly when some detector flags, because resolve_pairs
+    # reports every flag: each flag's location is in some pair, counted at
+    # least once, also once its variable has degraded; every pair names a
+    # flagged location; at budget 0 every flagged variable degrades, once
+    rng = random.Random(21)
+    traces = list(fixtures().values()) + [gen_forky(seed) for seed in range(300)]
+    for seed in range(1200):
+        params = GenParams(threads=2 + seed % 4, locks=seed % 3, vars=1 + seed % 3,
+                           events=15 + seed % 30, p_lock=(0.2, 0.4)[seed % 2], seed=2100 + seed)
+        tr = gen_random(params, close_sections=seed % 4 != 0)
+        traces.append(with_sites(tr, rng) if seed % 2 else tr)
+    resolutions = 0
+    for n, tr in enumerate(traces):
+        if not validate(tr).ok:
+            continue
+        wcp, hbt, hb = (AccessClocks(records=[]) for _ in range(3))
+        run_detector(tr.events, WcpEngine(), wcp, hb=hbt)
+        run_detector(tr.events, HbEngine(), hb)
+        for det, clocks in (("wcp", wcp), ("hb on hbt", hbt), ("hb", hb)):
+            flagged = {f.loc for f in clocks.flags}
+            for budget in (10_000_000, 3, 0):
+                pairs, notes = resolve_pairs(tr, clocks, budget)
+                where = (n, det, budget)
+                assert flagged <= {loc for p in pairs for loc in (p.loc_a, p.loc_b)}, where
+                assert all(p.loc_a in flagged or p.loc_b in flagged for p in pairs), where
+                assert sum(p.count for p in pairs) >= len(clocks.flags), where
+                if budget == 0:
+                    assert len(notes) == len({f.var for f in clocks.flags}), where
+                resolutions += 1
+    assert resolutions > 12_000, resolutions
+
+
+@pytest.mark.parametrize("budget", ["10000000", "3", "0"])
+def test_exit_code_is_one_exactly_when_a_race_line_is_printed(capsys, tmp_path, budget):
+    for name, tr in fixtures().items():
+        path = tmp_path / f"{name}.std"
+        path.write_text(tr.serialize())
+        code = main(["analyze", "--detector", "both", "--pairs", "--pair-budget", budget,
+                     str(path)])
+        out = capsys.readouterr().out
+        assert code == (1 if "\nRACE|" in out else 0), name

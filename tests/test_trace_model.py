@@ -2,13 +2,13 @@ import gc
 import random
 
 import pytest
+from helpers import conflicting
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racepred.hb_engine import HbEngine, validate
 from racepred.trace_model import (ACQUIRE, READ, WRITE, Event, ParseError,
-                                  Trace, conflicting, iter_parse,
-                                  parse_trace)
+                                  Trace, iter_parse, parse_trace)
 from racepred.tracegen import GenParams, fixture, gen_random
 from racepred.wcp_engine import EngineError, WcpEngine
 

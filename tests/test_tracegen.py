@@ -1,4 +1,5 @@
 import pytest
+from helpers import conflicting
 
 from racepred import oracle
 from racepred.hb_engine import validate
@@ -59,7 +60,6 @@ def test_gen_random_no_locks_when_p_lock_zero():
     # without synchronization, the WCP races are exactly the conflicting pairs
     wle = oracle.wcp_le(tr)
     races = oracle.races_of(tr, wle)
-    from racepred.trace_model import conflicting
     expected = {(a.idx, b.idx) for i, a in enumerate(tr.events)
                 for b in tr.events[i + 1:] if conflicting(a, b)}
     assert races == expected

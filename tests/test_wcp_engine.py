@@ -1,10 +1,11 @@
 import pytest
+from helpers import find_by_loc
 
 from racepred import oracle
 from racepred.hb_engine import validate
 from racepred.trace_model import JOIN, parse_trace
-from racepred.tracegen import (GenParams, find_by_loc, fixture, fixtures,
-                               gen_equality_trace, gen_random)
+from racepred.tracegen import (GenParams, fixture, fixtures, gen_equality_trace,
+                               gen_random)
 from racepred.vclock import leq
 from racepred.wcp_engine import EngineError, WcpEngine
 
