@@ -4,7 +4,11 @@ Subcommands: analyze (race detection), validate (well-formedness report),
 generate (fixtures, gadget, random traces), oracle (brute-force relations
 on small traces).  analyze exits 0 when no races were found, 1 when some
 were, 2 on errors; everything written to stdout is deterministic for a
-given input and configuration (timings go to stderr or the metrics file).
+given input and configuration.  analyze writes one run record: each
+detector's summary block closes its report on stdout, the run's own block
+(time_s, and peak_rss_mb from /proc where it exists) goes to stderr, and
+--metrics FILE receives the whole record.  generate takes exactly one mode,
+as argparse enforces, and its --random options are GenParams' fields.
 
 analyze streams the input through run_detector with one engine, keeping
 no events: HbEngine for --detector hb, and WcpEngine for wcp and for
@@ -26,6 +30,8 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager, nullcontext
+from dataclasses import fields
+from itertools import chain
 
 from . import oracle as oracle_mod
 from . import tracegen
@@ -64,19 +70,21 @@ def _is_input(metrics: str, path: str) -> bool:
         return False
 
 
+def _peak_rss_mb() -> list[str]:
+    """This process's peak resident set, from VmHWM: unlike ru_maxrss, it
+    does not inherit the spawner's peak across exec.  No line without /proc."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as f:
+            kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+    except (OSError, StopIteration, ValueError):
+        return []
+    return [f"peak_rss_mb={kb / 1024:.1f}"]
+
+
 def _analyze(args: argparse.Namespace, out) -> int:
     if args.metrics and _is_input(args.metrics, args.input):
         print(f"error: metrics file {args.metrics} is the input trace", file=sys.stderr)
         return 2
-    # opened before pass 1, so that a bad path fails before any output; the
-    # timestamp dump waits in a temporary file until pass 1 has succeeded
-    with (open(args.metrics, "w", encoding="utf-8") if args.metrics else nullcontext() as mf,
-          tempfile.TemporaryFile("w+", encoding="utf-8") if args.dump_timestamps
-          else nullcontext() as dumped):
-        return _analyze_into(args, out, mf, dumped)
-
-
-def _analyze_into(args: argparse.Namespace, out, mf, dumped) -> int:
     detectors = ["wcp", "hb"] if args.detector == "both" else [args.detector]
     t0 = time.perf_counter()
     # One pass-1 engine per run: under both, the hb detector race-checks the
@@ -93,59 +101,59 @@ def _analyze_into(args: argparse.Namespace, out, mf, dumped) -> int:
         if args.detector != "wcp":
             dumped.write(f"HB|{e.idx}|{name}|C={render(eng.hbt[t])}\n")
 
-    error = ""
-    try:
-        with _read_events(args.input) as (trace, events):
-            run_detector(events, engine, clocks[0], dump if dumped is not None else None,
-                         *clocks[1:])
-    except EngineError as exc:
-        error = _at_event(trace, exc.event, str(exc))
-    except INPUT_ERRORS as exc:
-        error = str(exc)
-    for warning in engine.warnings:     # only events warn, so trace is bound
-        print(f"warning: {_at_event(trace, warning.event, warning.message)}", file=sys.stderr)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    max_queue_load = engine.max_queue_load
-    del engine      # free its section logs before pass 2 and output
-    reports = [(det, c.flags, resolve_pairs(trace, c, args.pair_budget) if args.pairs else None)
-               for det, c in zip(detectors, clocks)]
-    del clocks      # and the access records before output
-    elapsed = time.perf_counter() - t0
+    # opened before pass 1, so that a bad path fails before any output; the
+    # timestamp dump waits in a temporary file until pass 1 has succeeded
+    with (open(args.metrics, "w", encoding="utf-8") if args.metrics else nullcontext() as mf,
+          tempfile.TemporaryFile("w+", encoding="utf-8") if args.dump_timestamps
+          else nullcontext() as dumped):
+        error = ""
+        try:
+            with _read_events(args.input) as (trace, events):
+                run_detector(events, engine, clocks[0], dump if dumped is not None else None,
+                             *clocks[1:])
+        except EngineError as exc:
+            error = _at_event(trace, exc.event, str(exc))
+        except INPUT_ERRORS as exc:
+            error = str(exc)
+        for warning in engine.warnings:     # only events warn, so trace is bound
+            print(f"warning: {_at_event(trace, warning.event, warning.message)}",
+                  file=sys.stderr)
+        if error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        max_queue_load = engine.max_queue_load
+        del engine      # free its section logs before pass 2 and output
+        reports = [(det, c.flags, resolve_pairs(trace, c, args.pair_budget) if args.pairs
+                    else None) for det, c in zip(detectors, clocks)]
+        del clocks      # and the access records before output
+        elapsed = time.perf_counter() - t0
 
-    if dumped is not None:
-        dumped.seek(0)
-        shutil.copyfileobj(dumped, out)
-    metrics_lines: list[str] = []
-    if args.pairs and "wcp" in detectors:
-        out.write("# note|wcp|only the first reported pair carries the soundness "
-                  "guarantee; an unordered pair can also witness a predictable deadlock\n")
-    counts = (trace.n_events, trace.n_threads, trace.n_locks, trace.n_vars)
-    for det, det_flags, resolved in reports:
-        pair_count = None
-        if resolved is not None:
-            pairs, notes = resolved
-            for note in notes:
-                out.write(f"# note|{det}|{note}\n")
-            for p in pairs:
-                out.write(p.render(det) + "\n")
-            pair_count = len(pairs)
-        else:
-            for line in render_flags(trace, det_flags, det):
-                out.write(line + "\n")
-        # HB keeps no section log, so it has no queue load
-        mql = max_queue_load if det == "wcp" else 0
-        block = summary_lines(det, counts, len(det_flags), mql, pair_count)
-        for line in block:
-            out.write(line + "\n")
-        metrics_lines += block
-    print(f"time_s={elapsed:.3f}", file=sys.stderr)
-
-    if mf is not None:
-        for line in metrics_lines:
-            mf.write(line + "\n")
-        mf.write(f"time_s={elapsed:.3f}\n")
+        # the run record: a summary block per detector (HB keeps no section log,
+        # so no queue load), closing its report on stdout, then the run's own
+        # block for stderr; the metrics file gets all of it
+        counts = (trace.n_events, trace.n_threads, trace.n_locks, trace.n_vars)
+        record = [summary_lines(det, counts, len(flags), max_queue_load if det == "wcp" else 0,
+                                None if resolved is None else len(resolved[0]))
+                  for det, flags, resolved in reports]
+        if dumped is not None:
+            dumped.seek(0)
+            shutil.copyfileobj(dumped, out)
+        # only over a sound=1 line; wcp's report comes first
+        if args.pairs and args.detector != "hb" and any(p.sound for p in reports[0][2][0]):
+            out.write("# note|wcp|only the first reported pair carries the soundness "
+                      "guarantee; an unordered pair can also witness a predictable deadlock\n")
+        for (det, flags, resolved), block in zip(reports, record):
+            if resolved is None:
+                lines = render_flags(trace, flags, det)
+            else:
+                pairs, notes = resolved
+                lines = chain((f"# note|{det}|{note}" for note in notes),
+                              (p.render(det) for p in pairs))
+            out.writelines(f"{line}\n" for line in chain(lines, block))
+        record.append([f"time_s={elapsed:.3f}", *_peak_rss_mb()])
+        sys.stderr.writelines(f"{line}\n" for line in record[-1])
+        if mf is not None:
+            mf.writelines(f"{line}\n" for block in record for line in block)
     # every flag is reported: as a FLAG line, or in some RACE line
     return 1 if any(flags for _, flags, _ in reports) else 0
 
@@ -160,10 +168,6 @@ def _validate(args: argparse.Namespace, out) -> int:
 
 
 def _generate(args: argparse.Namespace, out) -> int:
-    chosen = sum(x is not None for x in (args.fixture, args.bits)) + (1 if args.random else 0)
-    if chosen != 1:
-        print("pick exactly one of --fixture, --bits, --random", file=sys.stderr)
-        return 2
     try:
         if args.fixture:
             trace = tracegen.fixture(args.fixture)
@@ -171,10 +175,8 @@ def _generate(args: argparse.Namespace, out) -> int:
             u, _, v = args.bits.partition(",")
             trace = tracegen.gen_equality_trace(u, v)
         else:
-            params = tracegen.GenParams(threads=args.threads, locks=args.locks,
-                                        vars=args.vars, events=args.events,
-                                        p_lock=args.p_lock, p_write=args.p_write,
-                                        max_nesting=args.max_nesting, seed=args.seed)
+            params = tracegen.GenParams(**{f.name: getattr(args, f.name)
+                                           for f in fields(tracegen.GenParams)})
             trace = tracegen.gen_random(params, close_sections=not args.dangling)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -243,18 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("input")
 
     g = sub.add_parser("generate", help="emit a trace in STD format")
-    g.add_argument("--fixture", choices=list(tracegen.FIXTURE_NAMES), default=None)
-    g.add_argument("--bits", metavar="U,V", default=None,
-                   help="equality gadget for bit strings U and V")
-    g.add_argument("--random", action="store_true")
-    g.add_argument("--threads", type=int, default=3)
-    g.add_argument("--locks", type=int, default=2)
-    g.add_argument("--vars", type=int, default=3)
-    g.add_argument("--events", type=int, default=40)
-    g.add_argument("--p-lock", type=float, default=0.3)
-    g.add_argument("--p-write", type=float, default=0.5)
-    g.add_argument("--max-nesting", type=int, default=2)
-    g.add_argument("--seed", type=int, default=0)
+    mode = g.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--fixture", choices=list(tracegen.FIXTURE_NAMES), default=None)
+    mode.add_argument("--bits", metavar="U,V", default=None,
+                      help="equality gadget for bit strings U and V")
+    mode.add_argument("--random", action="store_true")
+    for f in fields(tracegen.GenParams):    # --random's knobs, types and defaults
+        g.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     g.add_argument("--dangling", action="store_true",
                    help="leave sections open at thread end (robustness tests)")
     g.add_argument("-o", "--output", default=None)

@@ -130,8 +130,8 @@ class WcpEngine:
         self.started: list[bool] = []          # performed an event or was forked
         self.frames: list[list[tuple]] = []    # (lock, log entry), innermost last
         # per lock
-        self.lock_pred: list[tuple[int, ...] | None] = []
-        self.lock_hb: list[tuple[int, ...] | None] = []
+        self.lock_pred: list[tuple[int, ...]] = []   # () until the first release
+        self.lock_hb: list[tuple[int, ...]] = []
         self.holder: list[int] = []            # owner, -1 if free
         self.depth: list[int] = []             # flattened re-acquires still open
         self.log: list[list[list]] = []        # [owner, acq time, rel time | None]
@@ -165,8 +165,8 @@ class WcpEngine:
 
     def _ensure_lock(self, l: int) -> None:
         while len(self.holder) <= l:
-            self.lock_pred.append(None)
-            self.lock_hb.append(None)
+            self.lock_pred.append(())
+            self.lock_hb.append(())
             self.holder.append(-1)
             self.depth.append(0)
             self.log.append([])
@@ -217,9 +217,7 @@ class WcpEngine:
         if t >= len(self.hbt) or self.pending[t] or not self.started[t]:
             self._tick(t)
         self.holder[l] = t
-        hl = self.lock_hb[l]
-        if hl is not None:
-            join_into(self.hbt[t], hl)
+        join_into(self.hbt[t], self.lock_hb[l])
         return True
 
     def _leave(self, t: int, l: int) -> list | None:
@@ -248,9 +246,7 @@ class WcpEngine:
     def acquire(self, t: int, l: int) -> tuple[int, ...]:
         if not self._enter(t, l):
             return self._snap(t)
-        pl = self.lock_pred[l]
-        if pl is not None:
-            join_into(self.pred[t], pl)
+        join_into(self.pred[t], self.lock_pred[l])
         snap = self._snap(t)
         entry = [t, snap, None]
         self.log[l].append(entry)

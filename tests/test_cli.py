@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,16 @@ from racepred.cli import build_parser, main
 from racepred.hb_engine import HbEngine, validate
 from racepred.race_reporter import RacePair
 from racepred.trace_model import parse_trace
-from racepred.tracegen import GenParams, fixture, gen_random
+from racepred.tracegen import FIXTURE_NAMES, GenParams, fixture, gen_random
 from racepred.wcp_engine import EngineError, WcpEngine
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# analyze's own block on stderr: its wall time, then its peak where /proc exists
+RUN_RECORD = r"time_s=\d+\.\d{3}\n" + (r"peak_rss_mb=\d+\.\d\n"
+                                       if Path("/proc/self/status").exists() else "")
+SOUND_NOTE = ("# note|wcp|only the first reported pair carries the soundness guarantee; "
+              "an unordered pair can also witness a predictable deadlock")
 
 
 @pytest.fixture
@@ -264,10 +270,36 @@ def test_generate_fixture_roundtrip(capsys):
 
 
 def test_generate_needs_exactly_one_mode(capsys):
-    code, _, err = run_cli(capsys, "generate")
-    assert code == 2
-    code, _, err = run_cli(capsys, "generate", "--fixture", "fig1b", "--random")
-    assert code == 2
+    # argparse enforces the rule: usage, one error line, exit 2
+    for argv, message in (
+            ([], "one of the arguments --fixture --bits --random is required"),
+            (["--fixture", "fig1b", "--random"],
+             "argument --random: not allowed with argument --fixture"),
+            (["--bits", "1,0", "--fixture", "fig1b"],
+             "argument --fixture: not allowed with argument --bits")):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith(f"racepred generate: error: {message}\n")
+
+
+# a non-default value for every GenParams field
+GEN_VALUES = {"threads": 5, "locks": 0, "vars": 1, "events": 25, "p_lock": 0.6, "p_write": 0.9,
+              "max_nesting": 0, "seed": 7}
+
+
+def test_generate_values_cover_every_genparams_field():
+    assert [f.name for f in fields(GenParams)] == list(GEN_VALUES)
+    assert all(GEN_VALUES[f.name] != f.default for f in fields(GenParams))
+
+
+@pytest.mark.parametrize("field", [None, *GEN_VALUES])
+def test_generate_random_options_are_genparams_fields(capsys, field):
+    # --random's options are GenParams' fields, with its defaults
+    argv = [] if field is None else [f"--{field.replace('_', '-')}", str(GEN_VALUES[field])]
+    params = GenParams() if field is None else GenParams(**{field: GEN_VALUES[field]})
+    assert run_cli(capsys, "generate", "--random", *argv) == (0, gen_random(params).serialize(), "")
 
 
 def test_generate_bits_and_analyze(capsys, tmp_path):
@@ -418,7 +450,7 @@ def test_pair_budget_rejects_negative_values(capsys, fig_file):
 def test_degraded_pairs_have_no_first_component(tmp_path):
     # a degraded flag pairs with "?" at index -1 and no distance, one note
     # names the variable, and stderr, as the process writes it, carries
-    # only the timing
+    # only the run record
     path = tmp_path / "t.std"
     path.write_text("T1|w|x|a\nT2|w|x|b\nT2|w|x|c\nT1|w|y|d\nT2|w|y|e\n")
     proc = subprocess.run([sys.executable, "-m", "racepred.cli", "analyze", "--pairs",
@@ -435,7 +467,7 @@ def test_degraded_pairs_have_no_first_component(tmp_path):
         "RACE|wcp|?|c|count=1|mindist=-1|ex=-1,2|sound=0",
         "RACE|wcp|?|e|count=1|mindist=-1|ex=-1,4|sound=0",
     ]
-    assert re.fullmatch(r"time_s=\d+\.\d{3}\n", err)
+    assert re.fullmatch(RUN_RECORD, err)
 
 
 @pytest.mark.parametrize("detector", ["wcp", "hb", "both"])
@@ -557,3 +589,59 @@ def test_every_engine_error_kind_and_validate_agrees_with_analyze(capsys, tmp_pa
     for seen in kinds.values():
         assert seen == {"DoubleAcquire", "UnmatchedRelease", "BadNesting",
                         "ForkOfKnownThread", "JoinOfLiveThread"}
+
+
+def test_metrics_file_is_the_summary_blocks_then_the_run_record(capsys, tmp_path, fig_file):
+    mpath = tmp_path / "metrics.txt"
+    for argv, detectors in (([], ["wcp"]), (["--detector", "both", "--pairs"], ["wcp", "hb"]),
+                            (["--detector", "hb", "--dump-timestamps"], ["hb"])):
+        code, out, err = run_cli(capsys, "analyze", "--metrics", str(mpath), *argv,
+                                 fig_file("fig1b"))
+        summaries = [line for line in out.splitlines() if re.match(r"[a-z_]+=", line)]
+        assert [line[9:] for line in summaries if line.startswith("detector=")] == detectors
+        assert re.fullmatch(RUN_RECORD, err)
+        assert mpath.read_text().splitlines() == summaries + err.splitlines()
+
+
+def test_soundness_note_appears_exactly_over_a_sound_wcp_pair(capsys, tmp_path):
+    # the note says only the first reported pair is sound, so it needs one:
+    # a degraded first flag, as at budget 0, leaves every wcp pair unsound
+    path = tmp_path / "t.std"
+    traces = [fixture(name) for name in FIXTURE_NAMES]
+    traces += [gen_random(GenParams(threads=2 + seed % 3, locks=seed % 3, vars=1 + seed % 3,
+                                    events=8 + seed % 40, seed=seed)) for seed in range(500)]
+    texts = [tr.serialize() for tr in traces] + ["T1|w|x|a\nT2|w|x|b\nT2|w|x|c\n"]
+    seen = set()
+    for text in texts:
+        path.write_text(text)
+        for budget in ([], ["--pair-budget", "3"], ["--pair-budget", "0"]):
+            for detector in ("wcp", "both"):
+                _, out, _ = run_cli(capsys, "analyze", "--pairs", "--detector", detector,
+                                    *budget, str(path))
+                lines = out.splitlines()
+                sound = any(line.startswith("RACE|wcp|") and line.endswith("|sound=1")
+                            for line in lines)
+                assert (SOUND_NOTE in lines) == sound, (text, budget, detector)
+                seen.add((tuple(budget), sound, "RACE|wcp|" in out))
+    # every budget reports races, the note shows at the default and at 3,
+    # and unsound pairs alone show at 3 and at 0
+    assert seen >= {((), True, True), (("--pair-budget", "3"), True, True),
+                    (("--pair-budget", "3"), False, True), (("--pair-budget", "0"), False, True)}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="peak_rss_mb reads /proc")
+def test_peak_rss_is_the_programs_own_not_its_spawners(fig_file):
+    # ru_maxrss would carry the spawner's high-water mark across exec
+    path = fig_file("fig5")
+
+    def reported_peak() -> float:
+        proc = subprocess.run([sys.executable, "-m", "racepred.cli", "analyze", path],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 1 and re.fullmatch(RUN_RECORD, proc.stderr)
+        return float(proc.stderr.split("peak_rss_mb=")[1])
+    fresh = reported_peak()
+    ballast = b"\x01" * (150 << 20)    # written, so resident
+    held = reported_peak()
+    del ballast
+    assert held < 150 and abs(held - fresh) < 5, (fresh, held)
