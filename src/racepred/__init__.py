@@ -7,14 +7,14 @@ fixtures, random corpora and the bit-equality gadget family.
 """
 
 from .hb_engine import HbEngine, ValidationReport, validate
-from .oracle import (BoundExceeded, OrderRelation, cp_le, cp_prec_closure,
-                     hb_closure, races_of, wcp_le, wcp_prec_closure)
+from .oracle import (BoundExceeded, OrderRelation, cp_prec_closure, hb_closure,
+                     races_of, wcp_le, wcp_prec_closure)
 from .race_reporter import (AccessClocks, Flag, RacePair, check_access,
                             resolve_pairs, run_detector)
 from .trace_model import (ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event,
                           ParseError, Trace, load_trace, parse_trace)
-from .tracegen import (FIXTURE_NAMES, GenParams, fixture, fixtures,
-                       gen_equality_trace, gen_random, iter_scaling)
+from .tracegen import (FIXTURE_NAMES, GenParams, fixture, gen_equality_trace,
+                       gen_random, iter_scaling)
 from .wcp_engine import EngineError, WcpEngine
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ its pairs from them once the engine is freed.  Engine errors
 and warnings name the event and its STD line, and threads and locks by
 their trace names.  analyze, validate and oracle read the input through
 one streaming parse; validate then keeps no events either, and oracle
-keeps them once analyze's pass 1, with HbEngine, has accepted each.
+keeps each event once HbEngine's process has accepted it.
 """
 
 from __future__ import annotations
@@ -191,12 +191,14 @@ def _generate(args: argparse.Namespace, out) -> int:
 
 
 def _oracle(args: argparse.Namespace, out) -> int:
-    # analyze's pass 1, keeping each event it accepts, so that the first
-    # fault in input order ends both commands; warnings the oracle models
+    # the engines' checks gate the input, so that the first fault in input
+    # order ends analyze and oracle alike; warnings the oracle models
     try:
         with _read_events(args.input) as (trace, events):
-            run_detector(events, HbEngine(), AccessClocks(),
-                         lambda e, c, eng: trace.events.append(e))
+            process = HbEngine().process
+            for e in events:
+                process(e)
+                trace.events.append(e)
     except EngineError as exc:
         print(f"error: {_at_event(trace, exc.event, str(exc))}", file=sys.stderr)
         return 2

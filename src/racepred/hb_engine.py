@@ -72,12 +72,6 @@ class ValidationReport:
     ok: bool
     violations: list[Violation] = field(default_factory=list)
 
-    def errors(self) -> list[Violation]:
-        return [v for v in self.violations if not v.is_warning]
-
-    def warnings(self) -> list[Violation]:
-        return [v for v in self.violations if v.is_warning]
-
 
 def validate(trace: Trace, events: Iterable[Event] | None = None) -> ValidationReport:
     """Check lock discipline and fork/join plausibility with one pass of

@@ -67,9 +67,6 @@ class OrderRelation:
     bits: list[int]
     kind: str
 
-    def holds(self, i: int, j: int) -> bool:
-        return bool(self.bits[i] >> j & 1)
-
     def pairs(self):
         for i, row in enumerate(self.bits):
             row &= ~(1 << i)
@@ -265,10 +262,6 @@ def as_partial_order(trace: Trace, prec: OrderRelation) -> OrderRelation:
 def wcp_le(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     """The WCP partial order: strict precedence united with thread order."""
     return as_partial_order(trace, wcp_prec_closure(trace, bound))
-
-
-def cp_le(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
-    return as_partial_order(trace, cp_prec_closure(trace, bound))
 
 
 def races_of(trace: Trace, rel: OrderRelation) -> set[tuple[int, int]]:

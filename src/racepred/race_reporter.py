@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .trace_model import JOIN, Event, Trace, READ, WRITE
+from .trace_model import Event, Trace, READ, WRITE
 from .vclock import join_into, leq
-from .wcp_engine import EngineError
 
 
 @dataclass
@@ -135,16 +134,12 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks,
     engine.hbt[tid] against hb in the same pass, into hb.flags: the HB
     detector's flags without an HB engine; its records hold that time.
     dump, if given, is called with (event, C, engine) after each event
-    (timestamp dumps).  An EngineError or EngineWarning gets its event set."""
+    (timestamp dumps)."""
     flags, records = clocks.flags, clocks.records
-    warnings, process, hbt = engine.warnings, engine.process, engine.hbt
+    process, hbt = engine.process, engine.hbt
     check = check_access    # looked up per run, so that a replaced global is called
     for e in events:
-        try:
-            c = process(e)
-        except EngineError as exc:
-            exc.event = e
-            raise
+        c = process(e)
         kind = e.kind
         if kind <= WRITE:
             t, x = e.tid, e.op
@@ -158,8 +153,6 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks,
                     hb.flags.append(Flag(e.idx, x, e.loc_or_default()))
                 if hb.records is not None:
                     hb.records.append((e.idx, t, kind, x, e.loc_or_default(), h))
-        elif kind == JOIN and warnings and warnings[-1].event is None:
-            warnings[-1].event = e      # only a join warns, at most once
         if dump is not None:
             dump(e, c, engine)
     return flags

@@ -98,10 +98,6 @@ def fixture(name: str) -> Trace:
     return _expand_rows(name, rows)
 
 
-def fixtures() -> dict[str, Trace]:
-    return {name: fixture(name) for name in FIXTURE_NAMES}
-
-
 def gen_equality_trace(u: str, v: str) -> Trace:
     """Three-thread gadget whose two w(z) events are WCP-ordered iff u == v.
 

@@ -93,19 +93,21 @@ JOINED = 2      # pending[t] once t was joined: truthy, so t's next tick raises
 class EngineError(Exception):
     """Malformed input, with kind the rule it broke (DoubleAcquire,
     UnmatchedRelease, BadNesting, ForkOfKnownThread or JoinOfLiveThread),
-    or a broken internal invariant, with kind None.  run_detector sets
-    event to the event that raised it.  Messages, like warnings, give
-    threads and locks as 'thread N' and 'lock N' by interned id; named()
-    puts the trace's names there."""
+    or a broken internal invariant, with kind None.  process sets event
+    to the event that raised it.  Messages, like warnings, give threads
+    and locks as 'thread N' and 'lock N' by interned id; named() puts the
+    trace's names there."""
 
     def __init__(self, message: str, kind: str | None = None):
         super().__init__(message)
         self.kind = kind
+        self.event: Event | None = None
 
 
 @dataclass(slots=True)
 class EngineWarning:
-    """Input the engine runs but ignores in part; run_detector sets event."""
+    """Input the engine runs but ignores in part.  Only a join warns, at
+    most once, and process sets event to that join."""
 
     kind: str
     message: str
@@ -371,12 +373,18 @@ class WcpEngine:
     def process(self, e: Event) -> tuple[int, ...]:
         """Dispatch one event (fed in trace order); returns its timestamp."""
         kind = e.kind
-        if kind <= WRITE:
-            snap = self.access(e.tid, e.op, kind)
-        else:
-            snap = self._DISPATCH[kind](self, e.tid, e.op)
-        if self.invariant_checks:
-            self._check_invariants(e.tid)
+        try:
+            if kind <= WRITE:
+                snap = self.access(e.tid, e.op, kind)
+            else:
+                snap = self._DISPATCH[kind](self, e.tid, e.op)
+                if kind == JOIN and self.warnings and self.warnings[-1].event is None:
+                    self.warnings[-1].event = e
+            if self.invariant_checks:
+                self._check_invariants(e.tid)
+        except EngineError as exc:
+            exc.event = e
+            raise
         return snap
 
     def _check_epoch(self, t: int, acq, ok: bool) -> None:

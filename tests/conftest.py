@@ -6,6 +6,7 @@ from __future__ import annotations
 import time
 
 import pytest
+from helpers import cp_le
 
 from racepred import oracle
 from racepred.hb_engine import HbEngine
@@ -40,7 +41,7 @@ def corpus():
 def corpus_oracle(corpus):
     traces, _ = corpus
     t0 = time.perf_counter()
-    rels = [(oracle.hb_closure(tr), oracle.wcp_le(tr), oracle.cp_le(tr)) for tr in traces]
+    rels = [(oracle.hb_closure(tr), oracle.wcp_le(tr), cp_le(tr)) for tr in traces]
     return rels, time.perf_counter() - t0
 
 

@@ -9,14 +9,14 @@ import itertools
 import random
 import time
 
-from helpers import contains, find_by_loc
+from helpers import contains, cp_le, find_by_loc, fixtures, holds
 from test_wcp_engine import record
 
 from racepred import oracle
 from racepred.cli import main
 from racepred.hb_engine import HbEngine
 from racepred.race_reporter import AccessClocks, check_access, resolve_pairs, run_detector
-from racepred.tracegen import fixture, fixtures, gen_equality_trace, iter_scaling
+from racepred.tracegen import fixture, gen_equality_trace, iter_scaling
 from racepred.vclock import leq
 from racepred.wcp_engine import WcpEngine
 
@@ -53,22 +53,22 @@ def test_criterion_1_fixture_verdicts():
 
     assert _pairs(fx["fig3"], WcpEngine) == {("fig3:12", "fig3:3")}
     assert _pairs(fx["fig3"], HbEngine) == set()
-    assert oracle.races_of(fx["fig3"], oracle.cp_le(fx["fig3"])) == set()
+    assert oracle.races_of(fx["fig3"], cp_le(fx["fig3"])) == set()
 
     assert _pairs(fx["fig4"], WcpEngine) == {("fig4:15", "fig4:4")}
-    assert oracle.races_of(fx["fig4"], oracle.cp_le(fx["fig4"])) == set()
+    assert oracle.races_of(fx["fig4"], cp_le(fx["fig4"])) == set()
 
     fig5 = fx["fig5"]
     f5 = _flags(fig5, WcpEngine)
     assert [(fig5.var_names[f.var], f.loc) for f in f5] == [("z", "fig5:14")]
     assert _pairs(fig5, WcpEngine) == {("fig5:14", "fig5:4")}
-    assert oracle.races_of(fig5, oracle.cp_le(fig5)) == set()
+    assert oracle.races_of(fig5, cp_le(fig5)) == set()
 
     fig7 = fx["fig7"]
     wprec = oracle.wcp_prec_closure(fig7)
     for a, b in [(6, 17), (10, 20), (14, 22), (15, 24)]:
         i, j = find_by_loc(fig7, f"fig7:{a}"), find_by_loc(fig7, f"fig7:{b}")
-        assert wprec.holds(i, j) and not wprec.holds(j, i), (a, b)
+        assert holds(wprec, i, j) and not holds(wprec, j, i), (a, b)
     assert oracle.races_of(fig7, oracle.wcp_le(fig7)) == set()
 
     elapsed = time.perf_counter() - t0
@@ -89,7 +89,7 @@ def test_criterion_2_wcp_differential(corpus, corpus_oracle, corpus_wcp_stamps):
         for i in range(n):
             ti = ts[i]
             for j in range(i + 1, n):
-                if leq(ti, ts[j]) != wle.holds(i, j):
+                if leq(ti, ts[j]) != holds(wle, i, j):
                     mismatches += 1
     assert mismatches == 0
     total = t_gen + t_oracle + t_eng + (time.perf_counter() - t0)
@@ -181,7 +181,7 @@ def test_criterion_5_lemma_invariants(corpus, corpus_oracle):
             _, ci, pi, hi = rec[i]
             assert leq(pi, ci) and leq(ci, hi)
             for j in range(i + 1, tr.n_events):
-                if hb.holds(i, j):
+                if holds(hb, i, j):
                     _, cj, pj, hj = rec[j]
                     assert leq(hi, hj) and leq(pi, pj)
     print("\nACCEPTANCE 5 PASS: P<=C<=H, thread monotonicity, HB dominance -- 0 violations")
@@ -228,7 +228,7 @@ def test_criterion_7_hb_baseline(corpus, corpus_oracle, corpus_hb_stamps):
     for tr, (hb, _, _), ts in zip(traces, rels, stamps):
         for i in range(tr.n_events):
             for j in range(i + 1, tr.n_events):
-                if leq(ts[i], ts[j]) != hb.holds(i, j):
+                if leq(ts[i], ts[j]) != holds(hb, i, j):
                     mismatches += 1
     assert mismatches == 0
 

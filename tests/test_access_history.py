@@ -10,14 +10,14 @@ import random
 
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
+from helpers import fixtures
 from test_wcp_engine import gen_forky
 
 from racepred.hb_engine import HbEngine, validate
 from racepred.race_reporter import AccessClocks, check_access, run_detector
 from racepred.trace_model import (ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event,
                                   Trace, parse_trace)
-from racepred.tracegen import (GenParams, fixtures, gen_equality_trace, gen_random,
-                               iter_scaling)
+from racepred.tracegen import GenParams, gen_equality_trace, gen_random, iter_scaling
 from racepred.vclock import join_into, leq
 from racepred.wcp_engine import EngineError, WcpEngine
 

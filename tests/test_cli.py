@@ -645,3 +645,13 @@ def test_peak_rss_is_the_programs_own_not_its_spawners(fig_file):
     held = reported_peak()
     del ballast
     assert held < 150 and abs(held - fresh) < 5, (fresh, held)
+
+
+def test_no_peak_rss_line_where_proc_cannot_be_read(capsys, monkeypatch, fig_file):
+    path = fig_file("fig1b")
+
+    def no_proc(file, *args, **kwargs):
+        raise FileNotFoundError(file)
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)    # /proc/self/status too
+    code, _, err = run_cli(capsys, "analyze", path)
+    assert code == 1 and re.fullmatch(r"time_s=\d+\.\d{3}\n", err)

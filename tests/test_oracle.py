@@ -1,11 +1,11 @@
 import pytest
-from helpers import contains, find_by_loc
+from helpers import contains, cp_le, find_by_loc, fixtures, holds
 
 from racepred import oracle
-from racepred.oracle import (BoundExceeded, cp_le, cp_prec_closure, hb_closure,
-                             races_of, wcp_le, wcp_prec_closure)
+from racepred.oracle import (BoundExceeded, cp_prec_closure, hb_closure, races_of, wcp_le,
+                             wcp_prec_closure)
 from racepred.trace_model import parse_trace
-from racepred.tracegen import fixture, fixtures
+from racepred.tracegen import fixture
 
 
 def idx(tr, loc):
@@ -41,21 +41,21 @@ def test_fixture_race_verdicts(name):
 def test_fig3_cp_orders_the_pair_wcp_does_not():
     tr = fixture("fig3")
     i, j = idx(tr, "fig3:3"), idx(tr, "fig3:12")
-    assert cp_prec_closure(tr).holds(i, j)
-    assert not wcp_prec_closure(tr).holds(i, j)
+    assert holds(cp_prec_closure(tr), i, j)
+    assert not holds(wcp_prec_closure(tr), i, j)
 
 
 def test_fig4_cp_orders_the_pair():
     tr = fixture("fig4")
     i, j = idx(tr, "fig4:4"), idx(tr, "fig4:15")
-    assert cp_prec_closure(tr).holds(i, j)
-    assert not wcp_prec_closure(tr).holds(i, j)
+    assert holds(cp_prec_closure(tr), i, j)
+    assert not holds(wcp_prec_closure(tr), i, j)
 
 
 def test_fig2b_cp_orders_reads_via_composition():
     tr = fixture("fig2b")
     i, j = idx(tr, "fig2b:1"), idx(tr, "fig2b:6")
-    assert cp_prec_closure(tr).holds(i, j)
+    assert holds(cp_prec_closure(tr), i, j)
 
 
 def test_fig7_drawn_edges():
@@ -64,27 +64,27 @@ def test_fig7_drawn_edges():
     edges = [(6, 17), (10, 20), (14, 22), (15, 24)]
     for a, b in edges:
         i, j = idx(tr, f"fig7:{a}"), idx(tr, f"fig7:{b}")
-        assert w.holds(i, j), (a, b)
-        assert not w.holds(j, i)
+        assert holds(w, i, j), (a, b)
+        assert not holds(w, j, i)
 
 
 def test_fig3_hb_edge_between_n_sections():
     tr = fixture("fig3")
     hb = hb_closure(tr)
-    assert hb.holds(idx(tr, "fig3:8"), idx(tr, "fig3:10"))   # rel(n) -> acq(n)
+    assert holds(hb, idx(tr, "fig3:8"), idx(tr, "fig3:10"))   # rel(n) -> acq(n)
 
 
 def test_hb_single_thread_is_thread_order():
     tr = parse_trace(["T1|w|x", "T1|r|x", "T1|w|y"])
     hb = hb_closure(tr)
-    assert all(hb.holds(i, j) for i in range(3) for j in range(i, 3))
+    assert all(holds(hb, i, j) for i in range(3) for j in range(i, 3))
 
 
 def test_hb_two_threads_no_locks_no_cross_pairs():
     tr = parse_trace(["T1|w|x", "T2|r|x", "T1|r|y", "T2|w|y"])
     hb = hb_closure(tr)
     for i, j in ((0, 1), (0, 3), (2, 1), (2, 3)):
-        assert not hb.holds(i, j) and not hb.holds(j, i)
+        assert not holds(hb, i, j) and not holds(hb, j, i)
 
 
 def test_wcp_empty_without_conflicts():
@@ -156,5 +156,5 @@ def test_closure_ends_when_a_release_is_ordered_before_an_earlier_one():
         "T2|rel|m", "T2|rel|l", "T2|acq|n", "T2|rel|n", "T1|acq|n", "T1|rel|l",
     ])
     w = wcp_prec_closure(tr)
-    assert w.holds(12, 8) and hb_closure(tr).holds(8, 12)
-    assert not any(w.holds(i, i) for i in range(tr.n_events))
+    assert holds(w, 12, 8) and holds(hb_closure(tr), 8, 12)
+    assert not any(holds(w, i, i) for i in range(tr.n_events))

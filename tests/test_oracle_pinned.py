@@ -8,11 +8,12 @@ import random
 
 import pytest
 from conftest import corpus_params
+from helpers import cp_le, fixtures
 from test_wcp_engine import gen_forky
 
-from racepred.oracle import cp_le, cp_prec_closure, hb_closure, races_of, wcp_le, wcp_prec_closure
+from racepred.oracle import cp_prec_closure, hb_closure, races_of, wcp_le, wcp_prec_closure
 from racepred.trace_model import parse_trace
-from racepred.tracegen import fixtures, gen_equality_trace, gen_random
+from racepred.tracegen import gen_equality_trace, gen_random
 
 
 def fuzz_traces(count):

@@ -2,7 +2,7 @@ import random
 import warnings
 
 import pytest
-from helpers import conflicting
+from helpers import conflicting, fixtures, holds
 from test_wcp_engine import gen_forky
 
 from racepred.cli import main
@@ -10,7 +10,7 @@ from racepred.hb_engine import HbEngine, validate
 from racepred.race_reporter import (AccessClocks, RacePair, check_access,
                                     render_flags, resolve_pairs, run_detector)
 from racepred.trace_model import KIND_TOKEN, READ, WRITE, Trace, parse_trace
-from racepred.tracegen import GenParams, fixture, fixtures, gen_random
+from racepred.tracegen import GenParams, fixture, gen_random
 from racepred.vclock import leq
 from racepred.wcp_engine import WcpEngine
 
@@ -157,8 +157,8 @@ def test_flag_soundness_vs_oracle(corpus, corpus_oracle):
         accesses = [e for e in tr.events if e.kind <= WRITE]
         for i, e1 in enumerate(accesses):
             for e2 in accesses[i + 1:]:
-                if conflicting(e1, e2) and not wle.holds(e1.idx, e2.idx) \
-                        and not wle.holds(e2.idx, e1.idx):
+                if conflicting(e1, e2) and not holds(wle, e1.idx, e2.idx) \
+                        and not holds(wle, e2.idx, e1.idx):
                     expected.add(e2.idx)
         assert flagged == expected, tr.serialize()
 

@@ -12,15 +12,23 @@ not been joined: an acquire of a free or self-held lock (re-entrant);
 a release of the innermost lock the thread holds; a read or write; a
 fork of a new thread; a join of a started, unjoined thread that holds no
 lock; and the first event of a late thread that was never forked.  A
-joined thread takes no further step.  On one core of a 2-CPU VM
-(Python 3.11) the default sizes take 2.3 s and the short sequences
-2.4 s; ``pytest -m exhaustive`` runs two larger scopes in about 60 s.
+joined thread takes no further step.
+
+refusal names the steps the engines refuse instead, each with the rule
+it breaks.  After every well_formed prefix of at most 3 events over 2
+threads, 2 locks and 1 variable, every step is held to both engines,
+and each refused one must end analyze, oracle and validate at its own
+event.  On one core of a 2-CPU VM (Python 3.11) the default sizes take
+2.3 s, the short sequences 2.4 s and the refused steps 2.3 s;
+``pytest -m exhaustive`` runs two larger scopes in about 60 s.
 """
 
 import itertools
 
 import pytest
+from helpers import holds
 
+from racepred import cli
 from racepred.hb_engine import HbEngine, validate
 from racepred.oracle import hb_closure, wcp_le
 from racepred.race_reporter import AccessClocks, run_detector
@@ -56,16 +64,22 @@ def _steps(state, threads, locks, variables):
                 yield (t, JOIN, u), (h, j[:u] + (True,) + j[u + 1:], n_locks, n_vars)
 
 
+def prefixes(threads, locks, variables, max_events):
+    """Every trace of 0 to max_events events that the steps above make
+    within the scope, as a tuple of (tid, kind, operand) ids, with the
+    state after it."""
+    def grow(prefix, state):
+        yield prefix, state
+        if len(prefix) < max_events:
+            for event, nxt in _steps(state, threads, locks, variables):
+                yield from grow(prefix + (event,), nxt)
+    return grow((), ((), (), 0, 0))
+
+
 def well_formed(threads, locks, variables, max_events):
     """Every trace of 1 to max_events events that the steps above make
-    within the scope, as a tuple of (tid, kind, operand) ids."""
-    def grow(prefix, state):
-        for event, nxt in _steps(state, threads, locks, variables):
-            trace = prefix + (event,)
-            yield trace
-            if len(trace) < max_events:
-                yield from grow(trace, nxt)
-    return grow((), ((), (), 0, 0))
+    within the scope."""
+    return (trace for trace, _ in prefixes(threads, locks, variables, max_events) if trace)
 
 
 def as_trace(events):
@@ -90,7 +104,7 @@ def mismatches(tr):
     for name, cs in stamps.items():
         rel = wle if name == "wcp C" else hb
         out += [(name, i, j) for i, j in itertools.combinations(range(len(cs)), 2)
-                if leq(cs[i], cs[j]) != rel.holds(i, j)]
+                if leq(cs[i], cs[j]) != holds(rel, i, j)]
     return out
 
 
@@ -188,3 +202,88 @@ def test_validate_accepts_exactly_what_both_engines_run(short_sequences):
 def test_well_formed_makes_every_accepted_trace(short_sequences):
     # as_trace renumbers each sequence's ids in order of first use
     assert set(well_formed(3, 2, 1, 3)) == short_sequences[3]
+
+
+def refusal(state, event):
+    """(category, kind) of the rule the engines break on event after
+    state, in the order they check, or None when they run it.  The release
+    of a lock that the thread holds more than once is a flattened inner
+    one, whichever section is innermost."""
+    held, joined, _, _ = state
+    t, kind, op = event
+    n = len(held)
+    mine = held[t] if t < n else ()
+    if kind == ACQUIRE and any(op in h for u, h in enumerate(held) if u != t):
+        return "double acquire", "DoubleAcquire"
+    if kind == RELEASE:
+        if op not in mine:
+            return "release of an unheld lock", "UnmatchedRelease"
+        if mine.count(op) == 1 and op != list(dict.fromkeys(mine))[-1]:
+            return "non-innermost release", "BadNesting"
+    if kind == FORK and (op == t or op < n):
+        return "fork of itself or a started thread", "ForkOfKnownThread"
+    if kind == JOIN and op == t:
+        return "self-join", "JoinOfLiveThread"
+    if t < n and joined[t]:
+        return "event of a joined thread", "JoinOfLiveThread"
+    return None
+
+
+def every_step(state, threads, locks, variables):
+    """Every event after state, well formed or not, over the ids in use
+    and one new id of each kind, within the scope."""
+    held, _, n_locks, n_vars = state
+    for t in range(min(len(held) + 1, threads)):
+        n = max(len(held), t + 1)     # threads, t included
+        for kind, count in ((READ, min(n_vars + 1, variables)), (WRITE, min(n_vars + 1, variables)),
+                            (ACQUIRE, min(n_locks + 1, locks)), (RELEASE, min(n_locks + 1, locks)),
+                            (FORK, min(n + 1, threads)), (JOIN, min(n + 1, threads))):
+            for op in range(count):
+                yield t, kind, op
+
+
+def test_every_refused_step_ends_analyze_oracle_and_validate_at_its_event(capsys, monkeypatch,
+                                                                          tmp_path):
+    # refusal is checked against both engines' process on every step after
+    # every prefix; each step it refuses then ends the three commands alike
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)    # built once, not per run
+    path = str(tmp_path / "t.std")
+    seen, checked = set(), 0
+    for prefix, state in prefixes(2, 2, 1, 3):
+        for step in every_step(state, 2, 2, 1):
+            expected = refusal(state, step)
+            tr = as_trace(prefix + (step,))
+            bad = tr.events[-1]
+            for engine_cls in (WcpEngine, HbEngine):
+                engine = engine_cls()
+                for e in tr.events[:-1]:
+                    engine.process(e)
+                try:
+                    engine.process(bad)
+                    refused = None
+                except EngineError as exc:
+                    assert exc.event is bad
+                    refused = exc.kind
+                assert refused == (expected and expected[1]), (engine_cls.detector, prefix, step)
+            if expected is None:
+                continue
+            seen.add(expected[0])
+            checked += 1
+            with open(path, "w") as f:
+                f.write(tr.serialize())
+            named = f"error: event {bad.idx} ({tr.event_line(bad)}): "
+            results = []
+            for command in ("analyze", "oracle", "validate"):
+                code = cli.main([command, path])
+                out, err = capsys.readouterr()
+                assert code == 2, (command, prefix, step)
+                results.append((out, err))
+            (a_out, a_err), (o_out, o_err), (v_out, _) = results
+            assert a_out == o_out == "" and a_err == o_err, (prefix, step)
+            assert a_err.startswith(named) and a_err.count("\n") == 1, a_err
+            first = next(line for line in v_out.splitlines() if line.startswith("VIOLATION|error|"))
+            assert first.startswith(f"VIOLATION|error|{expected[1]}|idx={bad.idx}|"), first
+    assert checked == 2878
+    assert seen == {"double acquire", "release of an unheld lock", "non-innermost release",
+                    "fork of itself or a started thread", "self-join", "event of a joined thread"}

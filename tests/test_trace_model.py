@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from helpers import conflicting
+from helpers import conflicting, errors_of, warnings_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,48 +130,48 @@ def test_validate_clean_fixture():
 def test_validate_double_acquire():
     rep = validate(parse(["T1|acq|l", "T2|acq|l"]))
     assert not rep.ok
-    v = rep.errors()[0]
+    v = errors_of(rep)[0]
     assert v.kind == "DoubleAcquire" and v.idx == 1
 
 
 def test_validate_bad_nesting():
     rep = validate(parse(["T1|acq|l", "T1|acq|m", "T1|rel|l"]))
     assert not rep.ok
-    assert any(v.kind == "BadNesting" and v.idx == 2 for v in rep.errors())
+    assert any(v.kind == "BadNesting" and v.idx == 2 for v in errors_of(rep))
 
 
 def test_validate_unmatched_release():
     rep = validate(parse(["T1|rel|l"]))
-    assert any(v.kind == "UnmatchedRelease" for v in rep.errors())
+    assert any(v.kind == "UnmatchedRelease" for v in errors_of(rep))
 
 
 def test_validate_reentrant_is_warning():
     rep = validate(parse(["T1|acq|l", "T1|acq|l", "T1|rel|l", "T1|rel|l"]))
     assert rep.ok
-    assert [v.kind for v in rep.warnings()] == ["ReentrantFlattened"]
+    assert [v.kind for v in warnings_of(rep)] == ["ReentrantFlattened"]
     # a flattened re-acquire is still an event of its thread
     rep = validate(parse(["T2|acq|l", "T1|join|T2", "T2|acq|l"]))
-    assert [(v.kind, v.idx) for v in rep.errors()] == [("JoinOfLiveThread", 2)]
+    assert [(v.kind, v.idx) for v in errors_of(rep)] == [("JoinOfLiveThread", 2)]
 
 
 def test_validate_dangling_is_warning():
     rep = validate(parse(["T1|acq|l", "T1|w|x"]))
     assert rep.ok
-    assert [v.kind for v in rep.warnings()] == ["DanglingCriticalSection"]
+    assert [v.kind for v in warnings_of(rep)] == ["DanglingCriticalSection"]
 
 
 def test_validate_fork_join():
     rep = validate(parse(["T1|w|x", "T2|fork|T1"]))
-    assert any(v.kind == "ForkOfKnownThread" for v in rep.errors())
+    assert any(v.kind == "ForkOfKnownThread" for v in errors_of(rep))
     rep = validate(parse(["T1|fork|T1"]))
-    assert [v.kind for v in rep.errors()] == ["ForkOfKnownThread"]
+    assert [v.kind for v in errors_of(rep)] == ["ForkOfKnownThread"]
     # a joined thread that acts again is reported where it acts
     rep = validate(parse(["T1|fork|T2", "T2|w|x", "T1|join|T2", "T2|w|x"]))
-    assert [(v.kind, v.idx) for v in rep.errors()] == [("JoinOfLiveThread", 3)]
+    assert [(v.kind, v.idx) for v in errors_of(rep)] == [("JoinOfLiveThread", 3)]
     rep = validate(parse(["T1|fork|T2", "T2|w|x", "T1|join|T2"]))
     assert rep.ok
     rep = validate(parse(["T1|w|x", "T1|join|T9"]))
-    assert rep.ok and [(v.kind, v.idx) for v in rep.warnings()] == [("JoinOfUnknownThread", 1)]
+    assert rep.ok and [(v.kind, v.idx) for v in warnings_of(rep)] == [("JoinOfUnknownThread", 1)]
     rep = validate(parse(["T1|join|T9", "T9|w|x"]))
     assert [(v.kind, v.idx, v.is_warning) for v in rep.violations] == \
         [("JoinOfUnknownThread", 0, True), ("JoinOfLiveThread", 1, False)]
@@ -207,6 +207,18 @@ def test_match_exists_between_same_lock_acquires(i):
             released[e.op] = True
 
 
+def test_validate_raises_an_engine_error_without_a_kind(monkeypatch):
+    # a broken invariant is no rule of the input: validate reports nothing
+    # and raises it, with the event
+    def broken(self, t, x, kind):
+        raise EngineError("invariant broken")
+    monkeypatch.setattr(HbEngine, "access", broken)
+    tr = parse_trace(["T1|acq|l", "T1|w|x"])
+    with pytest.raises(EngineError, match="invariant broken") as exc:
+        validate(tr)
+    assert exc.value.kind is None and exc.value.event is tr.events[1]
+
+
 def test_validate_ok_implies_engines_accept():
     # seeded fuzz over short traces of every event kind, T4 never acting
     # but joined: validate accepts a trace exactly when both engines run
@@ -230,7 +242,7 @@ def test_validate_ok_implies_engines_accept():
                     raised = e
                     eng.process(e)
             except EngineError as exc:
-                first = rep.errors()[0] if rep.errors() else None
+                first = errors_of(rep)[0] if errors_of(rep) else None
                 assert first and (first.idx, first.kind) == (raised.idx, exc.kind), \
                     (engine_cls.detector, lines, exc)
             else:

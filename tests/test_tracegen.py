@@ -1,12 +1,12 @@
 import pytest
-from helpers import conflicting
+from helpers import conflicting, fixtures, warnings_of
 
 from racepred import oracle
 from racepred.hb_engine import validate
 from racepred.race_reporter import AccessClocks, run_detector
 from racepred.trace_model import ACQUIRE, READ, RELEASE, WRITE, parse_trace
-from racepred.tracegen import (FIXTURE_NAMES, GenParams, fixture, fixtures,
-                               gen_equality_trace, gen_random, iter_scaling)
+from racepred.tracegen import (FIXTURE_NAMES, GenParams, fixture, gen_equality_trace,
+                               gen_random, iter_scaling)
 from racepred.wcp_engine import WcpEngine
 
 
@@ -70,7 +70,7 @@ def test_gen_random_dangling_mode():
     tr = gen_random(params, close_sections=False)
     rep = validate(tr)
     assert rep.ok  # dangling sections are warnings, not errors
-    assert any(v.kind == "DanglingCriticalSection" for v in rep.warnings())
+    assert any(v.kind == "DanglingCriticalSection" for v in warnings_of(rep))
 
 
 def test_gen_params_validation():

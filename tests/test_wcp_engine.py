@@ -1,11 +1,10 @@
 import pytest
-from helpers import find_by_loc
+from helpers import errors_of, find_by_loc, fixtures, holds
 
 from racepred import oracle
 from racepred.hb_engine import validate
 from racepred.trace_model import JOIN, parse_trace
-from racepred.tracegen import (GenParams, fixture, fixtures, gen_equality_trace,
-                               gen_random)
+from racepred.tracegen import (GenParams, fixture, gen_equality_trace, gen_random)
 from racepred.vclock import leq
 from racepred.wcp_engine import EngineError, WcpEngine
 
@@ -98,7 +97,7 @@ def test_fig7_drain_realizes_release_release_edges():
     wle = oracle.wcp_le(tr)
     for i in range(tr.n_events):
         for j in range(i + 1, tr.n_events):
-            assert leq(stamps[i], stamps[j]) == wle.holds(i, j)
+            assert leq(stamps[i], stamps[j]) == holds(wle, i, j)
 
 
 def test_reentrant_sections_flattened():
@@ -122,7 +121,7 @@ def test_fork_inherits_hb_and_pred():
     # edges added to HB before closure) computes it
     assert not leq(stamps[0], stamps[2])
     wle = oracle.wcp_le(tr)
-    assert not wle.holds(0, 2)
+    assert not holds(wle, 0, 2)
 
 
 def test_fork_join_differential_vs_oracle():
@@ -138,7 +137,7 @@ def test_fork_join_differential_vs_oracle():
         wle = oracle.wcp_le(tr)
         for i in range(tr.n_events):
             for j in range(i + 1, tr.n_events):
-                assert leq(stamps[i], stamps[j]) == wle.holds(i, j), (lines, i, j)
+                assert leq(stamps[i], stamps[j]) == holds(wle, i, j), (lines, i, j)
 
 
 def gen_forky(seed):
@@ -206,8 +205,8 @@ def test_fork_join_random_differential():
         hb = oracle.hb_closure(tr)
         for i in range(tr.n_events):
             for j in range(i + 1, tr.n_events):
-                assert leq(ws[i], ws[j]) == wle.holds(i, j), ("wcp", seed, i, j)
-                assert leq(hs[i], hs[j]) == hb.holds(i, j), ("hb", seed, i, j)
+                assert leq(ws[i], ws[j]) == holds(wle, i, j), ("wcp", seed, i, j)
+                assert leq(hs[i], hs[j]) == holds(hb, i, j), ("hb", seed, i, j)
     assert checked > 100
 
 
@@ -265,7 +264,7 @@ def test_join_ends_the_joined_threads_granule(engine, lines):
     with pytest.raises(EngineError, match="acts after being joined") as exc:
         eng.process(bad)
     assert exc.value.kind == "JoinOfLiveThread"
-    first = validate(tr).errors()[0]
+    first = errors_of(validate(tr))[0]
     assert (first.idx, first.kind) == (bad.idx, "JoinOfLiveThread")
     assert epoch_mismatches(tr, stamps)[1] == 0
 
@@ -279,6 +278,47 @@ def test_drain_epoch_check_compares_with_leq():
     eng.log[0][0][1] = (1, 0, 7)
     with pytest.raises(EngineError, match="epoch test"):
         eng.release(1, 0)
+
+
+def test_drain_refuses_a_section_whose_release_is_pending():
+    tr = parse_trace(["T1|acq|l", "T1|rel|l", "T2|acq|l", "T2|rel|l"])
+    eng, _ = run(parse_trace(["T1|acq|l", "T1|rel|l", "T2|acq|l"]))
+    # T2 knows T1's acquire, so its drain reaches T1's section, whose
+    # logged release time is erased by hand
+    eng.pred[1][0] = 1
+    eng.log[0][0][2] = None
+    with pytest.raises(EngineError, match="release is still pending") as exc:
+        eng.process(tr.events[3])
+    assert exc.value.kind is None and exc.value.event is tr.events[3]
+
+
+@pytest.mark.parametrize("clock, i, value, message", [
+    ("pred", 0, 5, "P <= C <= H violated"),     # T2's P knows more of T1 than its H
+    ("hbt", 1, 0, "monotonicity violated"),     # T2's local time moves back
+])
+def test_invariant_checks_catch_corrupted_clocks(clock, i, value, message):
+    tr = parse_trace(["T1|w|x", "T2|w|x", "T2|r|x"])
+    eng, _ = run(parse_trace(["T1|w|x", "T2|w|x"]), invariant_checks=True)
+    getattr(eng, clock)[1][i] = value
+    with pytest.raises(EngineError, match=message) as exc:
+        eng.process(tr.events[2])
+    assert exc.value.kind is None and exc.value.event is tr.events[2]
+
+
+@pytest.mark.parametrize("engine", ["wcp", "hb"])
+def test_process_gives_its_fault_and_a_join_warning_their_event(engine):
+    # the engine alone, with no race checker around it
+    from racepred.hb_engine import HbEngine
+    tr = parse_trace(["T1|w|x", "T1|join|T9", "T2|acq|l", "T1|join|T2", "T1|rel|l"])
+    eng = {"wcp": WcpEngine, "hb": HbEngine}[engine]()
+    join, bad = tr.events[1], tr.events[4]
+    for e in tr.events[:4]:
+        eng.process(e)
+    [w] = eng.warnings
+    assert w.event is join      # the later join, which does not warn, leaves it
+    with pytest.raises(EngineError) as exc:
+        eng.process(bad)
+    assert exc.value.kind == "UnmatchedRelease" and exc.value.event is bad
 
 
 def test_two_sequential_forks():
@@ -367,7 +407,7 @@ def test_own_release_times_do_not_order_later_own_accesses():
     tr = parse_trace(lines)
     _, stamps = run(tr)
     wle = oracle.wcp_le(tr)
-    assert not wle.holds(1, 11)            # w(q) unordered with the lockless r(q)
+    assert not holds(wle, 1, 11)            # w(q) unordered with the lockless r(q)
     assert not leq(stamps[1], stamps[11])  # and the clocks agree
     assert oracle.races_of(tr, wle) == {(1, 11)}
 
