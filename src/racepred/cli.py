@@ -12,7 +12,8 @@ as argparse enforces, and its --random options are GenParams' fields.
 
 analyze streams the input through run_detector with one engine, keeping
 no events: HbEngine for --detector hb, and WcpEngine for wcp and for
-both, where the hb detector race-checks the WCP engine's HB clock.  With
+both, where the hb detector is decided from the wcp detector's access
+histories against the WCP engine's HB clock.  With
 --pairs each detector keeps one record per access, and pass 2 resolves
 its pairs from them once the engine is freed.  Engine errors
 and warnings name the event and its STD line, and threads and locks by
@@ -24,6 +25,7 @@ keeps each event once HbEngine's process has accepted it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -87,8 +89,9 @@ def _analyze(args: argparse.Namespace, out) -> int:
         return 2
     detectors = ["wcp", "hb"] if args.detector == "both" else [args.detector]
     t0 = time.perf_counter()
-    # One pass-1 engine per run: under both, the hb detector race-checks the
-    # WCP engine's HB clock, which equals HbEngine's timestamp at every event.
+    # One pass-1 engine per run: under both, the hb detector is decided from
+    # wcp's histories against the WCP engine's HB clock, which equals
+    # HbEngine's timestamp at every event.
     engine = (HbEngine if args.detector == "hb" else WcpEngine)()
     clocks = [AccessClocks(records=[] if args.pairs else None) for _ in detectors]
 
@@ -229,6 +232,7 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+@functools.cache     # one parser per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="racepred",
                                  description="Predictive data-race detection over logged traces")

@@ -10,7 +10,7 @@ push and pop the section frame, and reads and writes join nothing.  No
 section log is kept, so max_queue_load stays 0; pred stays all zeros.
 
 Timestamps equal the WCP engine's hbt at every event, which lets
---detector both race-check hbt without an HbEngine.  They are epochs: a
+--detector both decide HB from hbt without an HbEngine.  They are epochs: a
 thread exports its clock only at the end of a granule (a release or a
 fork, after which its local clock bumps, or being joined, after which it
 never acts again), so a clock that knows u's local time n is HB-after

@@ -8,7 +8,8 @@ conflicts can flag.  A flag names only the second event of a racing
 pair.  As in FastTrack, a history is an epoch (u, C), the last access's
 thread and timestamp, while its accesses are totally ordered; since both
 engines' timestamps are epochs, "ordered before c" is then C[u] <= c[u].
-Otherwise it is their join, compared with leq.
+Otherwise it is their join, compared with leq.  Under --detector both
+the HB detector keeps no histories of its own (see run_detector).
 
 Pass 2 (optional) walks the access records that pass 1 kept, in trace
 order, retaining every access to a flagged variable; at each flagged
@@ -78,20 +79,31 @@ def _joined(h, c) -> list[int]:
     return h
 
 
-def check_access(clocks: AccessClocks, kind: int, x: int, ep) -> bool:
-    """Race-check one access to x, then fold it into x's histories.
-    Returns True when the access races with some earlier conflicting one.
+def _before(h, c) -> bool:
+    """History h is ordered before time c: C[u] <= c[u] for an epoch h =
+    (u, C), leq for a join."""
+    if type(h) is tuple:
+        u = h[0]
+        return u < len(c) and h[1][u] <= c[u]
+    return leq(h, c)
 
-    ep = (t, c): the accessing thread and the access's timestamp.  A read
+
+def check_access(clocks: AccessClocks, kind: int, x: int, ep) -> int:
+    """Race-check one access to x, then fold it into x's histories.
+    Returns the number of detectors that flag it: 0, 1, or 2 when ep
+    carries an HB time and HB flags too.
+
+    ep = (t, c) or (t, c, h): the accessing thread, the access's timestamp
+    and, under --detector both, its HB time h (see run_detector).  A read
     replaces a read epoch ordered before it; a write that does not flag is
     ordered after every earlier access, so its epoch replaces the write
     history and the reads are dropped; anything else folds into a join.  A
-    history keeps the epoch itself, with a caller's list c copied to a
-    tuple, so c may change after the call."""
-    t, c = ep
+    history keeps the epoch ep itself, with a caller's list c copied to a
+    tuple, so c may change after the call; h is never read back."""
+    t, c = ep[0], ep[1]
     if type(c) is not tuple:
         c = tuple(c)
-        ep = (t, c)
+        ep = (t, c, *ep[2:])
     n = len(c)
     writes, reads = clocks.writes, clocks.reads
     w = writes.get(x)
@@ -104,17 +116,22 @@ def check_access(clocks: AccessClocks, kind: int, x: int, ep) -> bool:
         flagged = u >= n or w[1][u] > c[u]
     else:
         flagged = not leq(w, c)
-    if kind == READ:
-        if r is not None and (type(r) is not tuple or (u := r[0]) >= n or r[1][u] > c[u]):
-            ep = _joined(r, c)
-        reads[x] = ep
-        return flagged
-    if r is not None and not flagged:
+    if kind != READ and r is not None and not flagged:
         if type(r) is tuple:
             u = r[0]
             flagged = u >= n or r[1][u] > c[u]
         else:
             flagged = not leq(r, c)
+    if flagged and len(ep) > 2:
+        # HB's verdict, from the same histories before the update
+        h = ep[2]
+        flagged = 2 if (w is not None and not _before(w, h)
+                        or kind != READ and r is not None and not _before(r, h)) else 1
+    if kind == READ:
+        if r is not None and (type(r) is not tuple or (u := r[0]) >= n or r[1][u] > c[u]):
+            ep = _joined(r, c)
+        reads[x] = ep
+        return flagged
     if flagged:
         writes[x] = list(c) if w is None else _joined(w, c)
     else:
@@ -130,29 +147,40 @@ def run_detector(events: Iterable[Event], engine, clocks: AccessClocks,
     each access's timestamp against clocks.  Returns clocks.flags, in
     increasing index order.
 
-    hb, given with a WcpEngine, race-checks each access's HB time
-    engine.hbt[tid] against hb in the same pass, into hb.flags: the HB
-    detector's flags without an HB engine; its records hold that time.
+    hb, given with a WcpEngine, collects the HB detector's flags in the
+    same pass, without an HB engine and without histories of its own: each
+    access is checked once, against clocks, and only when WCP flags it is
+    HB decided, from the same histories against the live engine.hbt[tid],
+    which equals HbEngine's timestamp.  That verdict is HbEngine's:
+    - WCP is weaker than HB and C <= H, so an access WCP does not flag, HB
+      does not flag either;
+    - every access the histories dropped is C-below, hence HB-below, an
+      access they kept, so it is HB-before the access whenever that one is;
+    - for a kept access b of thread u, C_b <= H_e holds exactly when b is
+      HB-before e: C_b <= H_b, and C_b[u] is u's local time at b, which
+      H_e reaches only if b is HB-before e, since H is an epoch clock.
+    hb's records, if hb.records is a list, hold the HB time of each access.
     dump, if given, is called with (event, C, engine) after each event
     (timestamp dumps)."""
     flags, records = clocks.flags, clocks.records
     process, hbt = engine.process, engine.hbt
+    hb_records = None if hb is None else hb.records
     check = check_access    # looked up per run, so that a replaced global is called
     for e in events:
         c = process(e)
         kind = e.kind
         if kind <= WRITE:
             t, x = e.tid, e.op
-            if check(clocks, kind, x, (t, c)):
-                flags.append(Flag(e.idx, x, e.loc_or_default()))
+            hit = check(clocks, kind, x, (t, c) if hb is None else (t, c, hbt[t]))
+            if hit:
+                flag = Flag(e.idx, x, e.loc_or_default())
+                flags.append(flag)
+                if hit == 2:
+                    hb.flags.append(flag)
             if records is not None:
                 records.append((e.idx, t, kind, x, e.loc_or_default(), c))
-            if hb is not None:
-                h = tuple(hbt[t])
-                if check(hb, kind, x, (t, h)):
-                    hb.flags.append(Flag(e.idx, x, e.loc_or_default()))
-                if hb.records is not None:
-                    hb.records.append((e.idx, t, kind, x, e.loc_or_default(), h))
+            if hb_records is not None:
+                hb_records.append((e.idx, t, kind, x, e.loc_or_default(), tuple(hbt[t])))
         if dump is not None:
             dump(e, c, engine)
     return flags

@@ -40,26 +40,36 @@ the lock's HB clock), so the latest drained release time subsumes all
 earlier ones.  The drain keeps only that one, folds it when an epoch
 test fails and retests the same entry, and folds it once more when the
 drain ends, so pred and every timestamp are those of eager folding.
-With invariant_checks on, every epoch test is also compared with the
-full leq.
 
-Per (lock, variable), for rule (a): two slots of the lock's section log
-entries, each [latest, latest with another owner], one over sections
-that accessed the variable and one over those that wrote it.  An access
-by t applies the rule in each section t holds, then files that
-section's entry: as the latest accessor and, for a write, the latest
-writer.  A read joins the release time entry[2] of the latest foreign
-writer, a write that of the latest foreign accessor.  Only *other*
-threads count: a release orders a later access only through a
-conflicting (hence cross-thread) access, and folding t's own release
-times would smuggle HB-only knowledge into pred.  The release times of
-one lock form a chain (each acquire joins the lock's HB clock), so the
-slot entry foreign to t is the latest foreign one and covers all earlier
-ones, and a write needs one chain: the latest foreign accessor covers
-the latest foreign reader and writer.  Filing at the access is exact: a
-foreign entry is closed, since t holds the lock; t's own open entry
-fails the owner test entry[0] == t; and sections over one lock never
-overlap, so access order files the same latest entry as release order.
+Every fold of a release time rel of a section of thread v != t into
+pred[t] (rule (a)'s below, the drain's in-loop fold and its final fold)
+first tests one component, rel[v] <= pred[t][v], and skips the join
+when it holds: pred[t] then already knows v's local time at that
+release, and by the epoch argument above the snapshot that told it is
+HB-after the release, so the join would change nothing.  A skipped
+in-loop fold ends the drain, since the retest would fail again.  With
+invariant_checks on, every epoch test is also compared with the full
+leq, and every skipped fold is confirmed by leq(rel, pred[t]).
+
+Per lock, for rule (a): a dict from each variable its sections accessed
+to four of the lock's section log entries, [latest accessor, latest
+foreign accessor, latest writer, latest foreign writer], where the
+foreign one is the latest owned by another thread than the latest one,
+and None means there is none.  An access by t applies the rule in each
+section t holds, then files that section's entry: as the latest accessor
+and, for a write, the latest writer.  A read joins the release time
+entry[2] of the latest writer foreign to t, a write that of the latest
+accessor foreign to t.  Only *other* threads count: a release orders a
+later access only through a conflicting (hence cross-thread) access, and
+folding t's own release times would smuggle HB-only knowledge into pred.
+The release times of one lock form a chain (each acquire joins the
+lock's HB clock), so the slot entry foreign to t is the latest foreign
+one and covers all earlier ones, and a write needs one chain: the latest
+foreign accessor covers the latest foreign reader and writer.  Filing at
+the access is exact: a foreign entry is closed, since t holds the lock;
+t's own open entry fails the owner test entry[0] == t; and sections over
+one lock never overlap, so access order files the same latest entry as
+release order.
 
 Cross-thread orderings carry the releaser's full HB time, never just its
 own components, so everything HB-below the ordering's source arrives too.
@@ -83,7 +93,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Event
+from .trace_model import ACQUIRE, FORK, JOIN, RELEASE, WRITE, Event
 from .vclock import join_into, leq
 
 
@@ -138,10 +148,8 @@ class WcpEngine:
         self.depth: list[int] = []             # flattened re-acquires still open
         self.log: list[list[list]] = []        # [owner, acq time, rel time | None]
         self.cursors: list[dict[int, int]] = []  # thread -> log index, 0 if absent
-        # per (lock, var): [latest, latest with another owner] of the lock's
-        # log entries whose section accessed (wrote) the var
-        self.accessed_by: dict[tuple[int, int], list] = {}
-        self.written_by: dict[tuple[int, int], list] = {}
+        # var -> rule (a) slots [accessor, foreign accessor, writer, foreign writer]
+        self.slots: list[dict[int, list]] = []
 
         self.reentrant_flattened = 0
         self.warnings: list[EngineWarning] = []
@@ -173,6 +181,7 @@ class WcpEngine:
             self.depth.append(0)
             self.log.append([])
             self.cursors.append({})
+            self.slots.append({})
 
     def _tick(self, t: int) -> None:
         # t's row if it has none, the local clock bump owed since t's last
@@ -270,6 +279,7 @@ class WcpEngine:
         pred_t = self.pred[t]
         checks = self.invariant_checks
         last = None     # latest drained release time not yet folded into pred_t
+        v = t           # its releaser
         drained = 0
         while i < end:
             entry = log_l[i]
@@ -285,16 +295,26 @@ class WcpEngine:
             if not ok:
                 if last is None:
                     break
+                if v < len(pred_t) and last[v] <= pred_t[v]:
+                    # the fold changes nothing, so the retest would fail again
+                    if checks:
+                        self._check_skip(t, last)
+                    last = None
+                    break
                 join_into(pred_t, last)
                 last = None
                 continue
             last = entry[2]
             if last is None:
                 raise EngineError("drained a critical section whose release is still pending")
+            v = u
             drained += 1
             i += 1
         if last is not None:
-            join_into(pred_t, last)
+            if v >= len(pred_t) or last[v] > pred_t[v]:
+                join_into(pred_t, last)
+            elif checks:
+                self._check_skip(t, last)
         self.cursors[l][t] = i
         self.queue_load -= drained
         self.lock_pred[l] = tuple(pred_t)
@@ -310,25 +330,32 @@ class WcpEngine:
         pred_t = self.pred[t]
         frames = self.frames[t]
         if frames:
-            accessed, written = self.accessed_by, self.written_by
-            consult = written if kind == READ else accessed
-            tables = (accessed,) if kind == READ else (accessed, written)
+            write = kind == WRITE
+            i = 0 if write else 2   # a write consults the accessors, a read the writers
+            slots = self.slots
             for l, entry in frames:
-                key = (l, x)
-                slot = consult.get(key)
-                if slot is not None:
-                    # the latest foreign section: closed, since t holds l
-                    last = slot[1] if slot[0][0] == t else slot[0]
-                    if last is not None:
-                        join_into(pred_t, last[2])
-                for table in tables:
-                    slot = table.get(key)
-                    if slot is None:
-                        table[key] = [entry, None]
-                    else:
-                        if slot[0][0] != t:
-                            slot[1] = slot[0]
-                        slot[0] = entry
+                table = slots[l]
+                slot = table.get(x)
+                if slot is None:
+                    table[x] = [entry, None, entry if write else None, None]
+                    continue
+                # the latest foreign section: closed, since t holds l
+                last = slot[i]
+                if last is not None and last[0] == t:
+                    last = slot[i + 1]
+                if last is not None:
+                    rel, v = last[2], last[0]
+                    if v >= len(pred_t) or rel[v] > pred_t[v]:
+                        join_into(pred_t, rel)
+                    elif self.invariant_checks:
+                        self._check_skip(t, rel)
+                if slot[0][0] != t:
+                    slot[1] = slot[0]
+                slot[0] = entry
+                if write:
+                    if slot[2] is not None and slot[2][0] != t:
+                        slot[3] = slot[2]
+                    slot[2] = entry
         c = pred_t[:]
         c[t] = self.hbt[t][t]
         return tuple(c)
@@ -390,6 +417,10 @@ class WcpEngine:
     def _check_epoch(self, t: int, acq, ok: bool) -> None:
         if leq(acq, self._snap(t)) != ok:
             raise EngineError(f"epoch test disagrees with leq in the drain of thread {t}")
+
+    def _check_skip(self, t: int, rel) -> None:
+        if not leq(rel, self.pred[t]):
+            raise EngineError(f"epoch test skipped a join that changes pred of thread {t}")
 
     def _check_invariants(self, t: int) -> None:
         p, h = self.pred[t], self.hbt[t]

@@ -1,9 +1,10 @@
 """Epoch access histories in check_access.
 
 The epoch check must raise exactly the flags of the join-based check it
-replaced, for the WCP timestamp, for the WCP engine's HB clock (as
---detector both checks it) and for HbEngine's timestamp, and it must keep
-the epoch form while a variable's accesses stay ordered.
+replaced, for the WCP timestamp, for the WCP engine's HB clock (which
+--detector both checks against WCP's histories) and for HbEngine's
+timestamp, and it must keep the epoch form while a variable's accesses
+stay ordered.
 """
 
 import random
@@ -11,6 +12,7 @@ import random
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 from helpers import fixtures
+from test_oracle_pinned import FAMILIES
 from test_wcp_engine import gen_forky
 
 from racepred.hb_engine import HbEngine, validate
@@ -177,19 +179,22 @@ def histories(*clocks):
 
 
 def test_scaling_histories_stay_epochs():
-    # iter_scaling is race-free, so every variable's accesses stay ordered
-    wcp, hb = AccessClocks(), AccessClocks()
+    # iter_scaling is race-free, so every variable's accesses stay ordered,
+    # in the WCP run (which also decides HB) and in HbEngine's own run
     events = [Event(i, t, k, op) for i, (k, t, op) in enumerate(iter_scaling(12_000))]
-    seen = 0
+    wcp, hb, hb_own = AccessClocks(), AccessClocks(), AccessClocks()
+    for engine, clocks, extra in ((WcpEngine(), wcp, (hb,)), (HbEngine(), hb_own, ())):
+        seen = 0
 
-    def after(e, c, engine):
-        nonlocal seen
-        if e.kind <= WRITE:
-            assert all(type(h) is tuple for h in histories(wcp, hb)), e.idx
-            seen += 1
-    run_detector(events, WcpEngine(), wcp, after, hb)
-    assert seen == 8000 and not wcp.flags and not hb.flags
-    assert len(histories(wcp)) >= 32
+        def after(e, c, engine):
+            nonlocal seen
+            if e.kind <= WRITE:
+                assert all(type(h) is tuple for h in histories(clocks)), e.idx
+                seen += 1
+        run_detector(events, engine, clocks, after, *extra)
+        assert seen == 8000 and not clocks.flags
+        assert len(histories(clocks)) >= 32
+    assert not hb.flags and not histories(hb)     # HB keeps no histories under both
 
 
 def test_write_ordered_after_a_race_restores_the_epoch():
@@ -198,19 +203,18 @@ def test_write_ordered_after_a_race_restores_the_epoch():
                       "T2|acq|l", "T2|w|x", "T2|rel|l"])   # ordered after all of them
     x = tr.var_names.index("x")
     wcp, hb, hb_own = AccessClocks(), AccessClocks(), AccessClocks()
-    forms = []
+    for engine, clocks, extra in ((WcpEngine(), wcp, (hb,)), (HbEngine(), hb_own, ())):
+        forms = []
 
-    def after(e, c, engine):
-        forms.append([(type(cl.writes.get(x)).__name__, x in cl.reads)
-                      for cl in (wcp, hb)])
-    run_detector(tr.events, WcpEngine(), wcp, after, hb)
-    run_detector(tr.events, HbEngine(), hb_own)
+        def after(e, c, engine):
+            forms.append((type(clocks.writes.get(x)).__name__, x in clocks.reads))
+        run_detector(tr.events, engine, clocks, after, *extra)
+        assert forms[2] == ("tuple", True)      # T1's write, then its read
+        assert forms[4] == ("list", True)       # the racy write folds into a join
+        assert forms[6] == ("tuple", False)     # epoch again, and the reads dropped
+        assert clocks.writes[x][0] == tr.thread_names.index("T2")
     assert [[f.idx for f in cl.flags] for cl in (wcp, hb, hb_own)] == [[4], [4], [4]]
-    assert forms[2] == [("tuple", True)] * 2     # T1's write, then its read
-    assert forms[4] == [("list", True)] * 2      # the racy write folds into a join
-    assert forms[6] == [("tuple", False)] * 2    # epoch again, and the reads dropped
-    for cl in (wcp, hb, hb_own):
-        assert cl.writes[x][0] == tr.thread_names.index("T2")
+    assert not hb.writes and not hb.reads       # HB keeps no histories under both
 
 
 def test_caller_may_mutate_a_list_timestamp():
@@ -230,3 +234,33 @@ def test_caller_may_mutate_a_list_timestamp():
             buf[:] = [0] * len(buf)
     assert flags_list == flags_tuple and any(flags_tuple)
     assert (by_list.reads, by_list.writes) == (by_tuple.reads, by_tuple.writes)
+
+
+def shared_verdict_traces():
+    """The fixtures and gadgets, gen_forky 0-299, and 2,000 gen_random
+    traces: a quarter with sections left open, and every fourth with 2
+    locks at nesting depth 2."""
+    yield from FAMILIES["fixtures_and_gadgets"]()
+    for seed in range(300):
+        yield gen_forky(seed)
+    for seed in range(2000):
+        params = GenParams(threads=2 + seed % 3, locks=2 if seed % 4 == 1 else 1 + seed % 3,
+                           vars=1 + seed % 3, events=20 + seed % 41,
+                           p_lock=(0.2, 0.5)[seed % 2], p_write=(0.3, 0.6)[seed % 3 % 2],
+                           max_nesting=2 if seed % 4 == 1 else 1 + seed % 3, seed=seed)
+        yield gen_random(params, close_sections=seed % 4 != 2)
+
+
+def test_hb_verdict_under_both_equals_hb_engine():
+    # under both, HB keeps no histories: it is decided only where WCP flags,
+    # from WCP's histories before the update, against the live HB clock
+    hb_flags = wcp_only = 0
+    for tr in shared_verdict_traces():
+        wcp, hb, own = AccessClocks(), AccessClocks(), AccessClocks()
+        run_detector(tr.events, WcpEngine(), wcp, hb=hb)
+        run_detector(tr.events, HbEngine(), own)
+        assert [f.idx for f in hb.flags] == [f.idx for f in own.flags], tr.serialize()
+        assert not hb.reads and not hb.writes
+        hb_flags += len(hb.flags)
+        wcp_only += len(wcp.flags) - len(hb.flags)
+    assert hb_flags > 20_000 and wcp_only > 1000

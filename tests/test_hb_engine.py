@@ -91,8 +91,8 @@ def test_hb_timestamps_monotone_per_thread():
 
 
 def wcp_hb_clocks(tr):
-    """The WCP engine's HB clock hbt[t] after each event, as --detector both
-    race-checks it."""
+    """The WCP engine's HB clock hbt[t] after each event, against which
+    --detector both decides HB."""
     return [h for _, _, _, h in record(WcpEngine(), tr.events)]
 
 

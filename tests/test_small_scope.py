@@ -242,12 +242,9 @@ def every_step(state, threads, locks, variables):
                 yield t, kind, op
 
 
-def test_every_refused_step_ends_analyze_oracle_and_validate_at_its_event(capsys, monkeypatch,
-                                                                          tmp_path):
+def test_every_refused_step_ends_analyze_oracle_and_validate_at_its_event(capsys, tmp_path):
     # refusal is checked against both engines' process on every step after
     # every prefix; each step it refuses then ends the three commands alike
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)    # built once, not per run
     path = str(tmp_path / "t.std")
     seen, checked = set(), 0
     for prefix, state in prefixes(2, 2, 1, 3):

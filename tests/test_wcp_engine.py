@@ -41,11 +41,11 @@ def test_fig1b_accessed_by_slot():
     eng, _ = run(tr)
     l = tr.lock_names.index("l")
     x = tr.var_names.index("x")
-    latest, foreign = eng.accessed_by[(l, x)]
+    latest, foreign, writer, foreign_writer = eng.slots[l][x]
     # latest section is t2's, released at H=[1,1]; t1's, released at [1,0], sits behind
     assert latest[0] == 1 and tuple(latest[2]) == (1, 1)
     assert foreign[0] == 0 and tuple(foreign[2]) == (1,)
-    assert (l, x) not in eng.written_by     # both sections only read x
+    assert writer is foreign_writer is None     # both sections only read x
 
 
 def test_fig2a_rule_a_edge_orders_reads():
@@ -82,9 +82,39 @@ def test_release_with_empty_sets_and_history():
     eng, stamps = run(tr)
     l = 0
     assert eng.lock_hb[l] == (1,) and eng.lock_pred[l] == (0,)
-    assert not eng.accessed_by and not eng.written_by
+    assert eng.slots == [{}]
     # pending increment lands on the next event of the thread
     assert stamps == [(1,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("lines", [
+    ["T1|acq|l", "T1|w|x", "T1|rel|l", "T2|acq|l", "T2|w|x", "T2|w|x"],
+    ["T1|acq|l", "T1|w|x", "T1|rel|l", "T2|acq|l", "T2|w|x", "T2|rel|l"],
+    ["T1|acq|l", "T1|w|x", "T1|rel|l", "T3|acq|l", "T3|rel|l",
+     "T2|acq|l", "T2|w|x", "T2|rel|l"],
+], ids=["rule (a) consult", "drain end", "drain retest"])
+def test_invariant_checks_confirm_each_skipped_join(lines):
+    # T2's first write folded T1's release time, so the last event skips
+    # its fold by the one-component test: T2's second write consults T1's
+    # section, or T2's release drains it and ends the drain there, or
+    # stops at T3's section, which T2 is not ordered after.  A release time
+    # corrupted to pass that test without being below pred must be caught.
+    *prefix, last = parse_trace(lines).events
+    t = last.tid
+    for checks in (False, True):
+        eng = WcpEngine(invariant_checks=checks)
+        for e in prefix:
+            eng.process(e)
+        t1_entry = eng.log[0][0]
+        assert t1_entry[2] == (1,) and eng.pred[t][0] == 1
+        t1_entry[2] = (1,) + (0,) * t + (7,)    # a time of a thread T2 never saw
+        pred = eng.pred[t][:]
+        if not checks:
+            eng.process(last)       # skipped, so pred stays as it was
+            assert eng.pred[t] == pred
+            continue
+        with pytest.raises(EngineError, match="skipped a join that changes pred"):
+            eng.process(last)
 
 
 def test_fig7_drain_realizes_release_release_edges():
