@@ -46,7 +46,8 @@ class HbEngine(WcpEngine):
         return tuple(self.hbt[t])
 
     def access(self, t: int, x: int, kind: int) -> tuple[int, ...]:
-        self._tick(t)
+        if t >= len(self.state) or self.state[t]:
+            self._tick(t)
         return tuple(self.hbt[t])
 
     _DISPATCH = {ACQUIRE: acquire, RELEASE: release, FORK: WcpEngine.fork, JOIN: WcpEngine.join}

@@ -2,9 +2,11 @@
 
 Relations are dense n x n boolean matrices stored as one Python int
 bitmask per row, computed straight from the declarative rules, and used
-as ground truth when differential-testing the streaming engines.  The
-cost is O(n^3) per fixpoint round, so inputs are bounded (default 2000
-events).
+as ground truth when differential-testing the streaming engines.  Each
+carries the tag that dump_lines prints: hb, cp and wcp for HB and the
+strict precedences, cple and wcple for those united with thread order,
+the partial orders that races_of takes.  The cost is O(n^3) per
+fixpoint round, so inputs are bounded (default 2000 events).
 
 HB: thread order plus release -> later same-lock acquire, transitively
 closed.  The strict precedence relations are least fixpoints:
@@ -48,12 +50,6 @@ from .trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Trace
 
 DEFAULT_BOUND = 2000
 
-HB = "HB"
-CP_PREC = "CPprec"
-WCP_PREC = "WCPprec"
-CP_LE = "CPle"
-WCP_LE = "WCPle"
-
 
 class BoundExceeded(Exception):
     pass
@@ -63,9 +59,8 @@ class BoundExceeded(Exception):
 class OrderRelation:
     """Row i's bitmask has bit j set iff (i, j) is in the relation."""
 
-    n: int
     bits: list[int]
-    kind: str
+    tag: str
 
     def pairs(self):
         for i, row in enumerate(self.bits):
@@ -76,9 +71,8 @@ class OrderRelation:
                 row ^= low
 
     def dump_lines(self):
-        tag = {HB: "hb", CP_PREC: "cp", WCP_PREC: "wcp", CP_LE: "cple", WCP_LE: "wcple"}[self.kind]
         for i, j in self.pairs():
-            yield f"PREC|{tag}|{i}|{j}"
+            yield f"PREC|{self.tag}|{i}|{j}"
 
 
 def _conflicts(trace: Trace) -> list[int]:
@@ -199,7 +193,7 @@ class _TraceView:
 def hb_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     """Reflexive-transitive HB rows (see _TraceView._hb_rows)."""
     view = _TraceView(trace, bound)
-    return OrderRelation(view.n, view.hb, HB)
+    return OrderRelation(view.hb, "hb")
 
 
 def _compose_with_hb(rows: list[int], hb: list[int]) -> None:
@@ -215,7 +209,7 @@ def _compose_with_hb(rows: list[int], hb: list[int]) -> None:
         rows[i] = acc & ~(1 << i)         # the relations stay irreflexive here
 
 
-def _close(view: _TraceView, rows: list[int], candidates, kind: str) -> OrderRelation:
+def _close(view: _TraceView, rows: list[int], candidates, tag: str) -> OrderRelation:
     """The least fixpoint of rules (b) and (c) over rows seeded by rule (a).
     A candidate (s1, s2, target) orders s1.rel before target once an event
     of s1 precedes one of s2; after rule (c), s1's acquire precedes all
@@ -225,7 +219,7 @@ def _close(view: _TraceView, rows: list[int], candidates, kind: str) -> OrderRel
         candidates = [c for c in candidates if not rows[c[0].rel] >> c[2] & 1]
         fired = [(s1, target) for s1, s2, target in candidates if rows[s1.acq] & s2.mask]
         if not fired:
-            return OrderRelation(view.n, rows, kind)
+            return OrderRelation(rows, tag)
         for s1, target in fired:
             rows[s1.rel] |= 1 << target
 
@@ -238,7 +232,7 @@ def wcp_prec_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     for s1, s2 in view.handoffs:
         rows[s1.rel] |= s1.conf & s2.mask
     candidates = [(s1, s2, s2.rel) for s1, s2 in view.later() if s2.rel is not None]
-    return _close(view, rows, candidates, WCP_PREC)
+    return _close(view, rows, candidates, "wcp")
 
 
 def cp_prec_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
@@ -249,14 +243,14 @@ def cp_prec_closure(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
     for s1, s2 in view.handoffs:
         if s1.conf & s2.mask:
             rows[s1.rel] |= 1 << s2.acq
-    return _close(view, rows, [(s1, s2, s2.acq) for s1, s2 in view.handoffs], CP_PREC)
+    return _close(view, rows, [(s1, s2, s2.acq) for s1, s2 in view.handoffs], "cp")
 
 
 def as_partial_order(trace: Trace, prec: OrderRelation) -> OrderRelation:
     """A WCP or CP precedence closure united with thread order: the
     partial order that races_of takes."""
     rows = [r | t for r, t in zip(prec.bits, _reach(_thread_order(trace)[0]))]
-    return OrderRelation(prec.n, rows, {WCP_PREC: WCP_LE, CP_PREC: CP_LE}[prec.kind])
+    return OrderRelation(rows, prec.tag + "le")
 
 
 def wcp_le(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
@@ -266,8 +260,8 @@ def wcp_le(trace: Trace, bound: int = DEFAULT_BOUND) -> OrderRelation:
 
 def races_of(trace: Trace, rel: OrderRelation) -> set[tuple[int, int]]:
     """All conflicting pairs (i < j) unordered by rel."""
-    if rel.kind not in (HB, CP_LE, WCP_LE):
-        raise ValueError(f"races are defined over partial orders, not {rel.kind}")
+    if rel.tag not in ("hb", "cple", "wcple"):
+        raise ValueError(f"races are defined over partial orders, not {rel.tag}")
     out = set()
     for i, conf in enumerate(_conflicts(trace)):
         later = conf >> (i + 1) << (i + 1) & ~rel.bits[i]

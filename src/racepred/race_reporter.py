@@ -98,12 +98,9 @@ def check_access(clocks: AccessClocks, kind: int, x: int, ep) -> int:
     replaces a read epoch ordered before it; a write that does not flag is
     ordered after every earlier access, so its epoch replaces the write
     history and the reads are dropped; anything else folds into a join.  A
-    history keeps the epoch ep itself, with a caller's list c copied to a
-    tuple, so c may change after the call; h is never read back."""
+    history keeps the epoch ep itself, so c is a tuple, as the engines'
+    timestamps are; h is never read back."""
     t, c = ep[0], ep[1]
-    if type(c) is not tuple:
-        c = tuple(c)
-        ep = (t, c, *ep[2:])
     n = len(c)
     writes, reads = clocks.writes, clocks.reads
     w = writes.get(x)

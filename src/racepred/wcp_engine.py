@@ -4,12 +4,15 @@ Per thread t the state holds two clocks: pred[t] joins the timestamps of
 every event strictly WCP-before t's latest event, and hbt[t] those of
 every event HB-before it.  t's local time n[t] is hbt[t][t], and the
 timestamp of t's latest event is pred[t] with component t set to n[t],
-materialized on demand.  n[t] bumps just before the next event of t
-whenever t's granule has ended since: t released a lock or forked a
-thread.  Being joined ends t's last granule: a joined thread never acts
-again, and an event of it raises JoinOfLiveThread.  A row is only table
-space, made when an id is first needed (a join makes one); t starts at
-its first event or its fork.
+materialized on demand.  One word state[t] holds t's lifecycle bits:
+NEW until t starts, at its first event or its fork; OWED once t's
+granule has ended, when t released a lock or forked a thread, so n[t]
+bumps just before t's next event; JOINED once t was joined, which ends
+its last granule: a joined thread never acts again, and an event of it
+raises JoinOfLiveThread.  An event of t goes through _tick only when a
+bit is set, and _tick clears the word.  A row is only table space, made
+when an id is first needed.  A join keeps NEW on a thread that has not
+started: it may still be forked, and its first event raises.
 
 Per lock: its owner holder[l] (-1 when free) and depth[l], the number of
 flattened re-acquires still open, so t holds l exactly when holder[l] ==
@@ -42,8 +45,8 @@ test fails and retests the same entry, and folds it once more when the
 drain ends, so pred and every timestamp are those of eager folding.
 
 Every fold of a release time rel of a section of thread v != t into
-pred[t] (rule (a)'s below, the drain's in-loop fold and its final fold)
-first tests one component, rel[v] <= pred[t][v], and skips the join
+pred[t] goes through _fold, called by rule (a) below and by the drain.
+It first tests one component, rel[v] <= pred[t][v], and skips the join
 when it holds: pred[t] then already knows v's local time at that
 release, and by the epoch argument above the snapshot that told it is
 HB-after the release, so the join would change nothing.  A skipped
@@ -97,7 +100,7 @@ from .trace_model import ACQUIRE, FORK, JOIN, RELEASE, WRITE, Event
 from .vclock import join_into, leq
 
 
-JOINED = 2      # pending[t] once t was joined: truthy, so t's next tick raises
+NEW, OWED, JOINED = 1, 2, 4     # state[t] bits (see above): not started, bump owed, joined
 
 
 class EngineError(Exception):
@@ -138,8 +141,7 @@ class WcpEngine:
         # per thread; hbt[t][t] is t's local time
         self.pred: list[list[int]] = []
         self.hbt: list[list[int]] = []
-        self.pending: list[bool | int] = []    # bump owed, or JOINED
-        self.started: list[bool] = []          # performed an event or was forked
+        self.state: list[int] = []             # NEW | OWED | JOINED bits
         self.frames: list[list[tuple]] = []    # (lock, log entry), innermost last
         # per lock
         self.lock_pred: list[tuple[int, ...]] = []   # () until the first release
@@ -168,8 +170,7 @@ class WcpEngine:
             u = len(self.hbt)
             self.pred.append([0] * (u + 1))
             self.hbt.append([0] * u + [1])
-            self.pending.append(False)
-            self.started.append(False)
+            self.state.append(NEW)
             self.frames.append([])
             self._last_times.append(None)
 
@@ -184,25 +185,37 @@ class WcpEngine:
             self.slots.append({})
 
     def _tick(self, t: int) -> None:
-        # t's row if it has none, the local clock bump owed since t's last
-        # release or fork, and t's start at its first event
-        if t >= len(self.hbt):
+        # t's row if it has none, a refusal once t was joined, the local clock
+        # bump owed since t's last release or fork, and t's start at its first event
+        if t >= len(self.state):
             self._ensure_thread(t)
-        if self.pending[t]:
-            if self.pending[t] == JOINED:
-                raise EngineError(f"thread {t} acts after being joined", "JoinOfLiveThread")
-            self.pending[t] = False
+        state = self.state[t]
+        if state & JOINED:
+            raise EngineError(f"thread {t} acts after being joined", "JoinOfLiveThread")
+        if state & OWED:
             self.hbt[t][t] += 1
-        if not self.started[t]:
+        if state & NEW:
             self._start(t)
+        self.state[t] = 0
 
     def _start(self, t: int) -> None:
         # t's cursors all start at 0: the whole log of every lock is ahead of it
-        self.started[t] = True
+        self.state[t] &= ~NEW
         self.nstarted += 1
         self.queue_load += self.total_entries
         if self.queue_load > self.max_queue_load:
             self.max_queue_load = self.queue_load
+
+    def _fold(self, t: int, pred_t: list[int], rel: tuple[int, ...], v: int) -> bool:
+        """Fold the release time rel of a section of thread v != t into
+        pred_t, t's pred, unless rel[v] <= pred_t[v] shows that the join
+        changes nothing.  Returns whether it joined."""
+        if v < len(pred_t) and rel[v] <= pred_t[v]:
+            if self.invariant_checks and not leq(rel, pred_t):
+                raise EngineError(f"epoch test skipped a join that changes pred of thread {t}")
+            return False
+        join_into(pred_t, rel)
+        return True
 
     def _snap(self, t: int) -> tuple[int, ...]:
         c = self.pred[t][:]
@@ -225,7 +238,7 @@ class WcpEngine:
         if owner != -1:
             raise EngineError(f"acquire of lock {l} already held by thread {owner}",
                               "DoubleAcquire")
-        if t >= len(self.hbt) or self.pending[t] or not self.started[t]:
+        if t >= len(self.state) or self.state[t]:
             self._tick(t)
         self.holder[l] = t
         join_into(self.hbt[t], self.lock_hb[l])
@@ -245,10 +258,10 @@ class WcpEngine:
         if not frames or frames[-1][0] != l:
             raise EngineError(f"release of lock {l} does not match innermost open section",
                               "BadNesting")
-        if self.pending[t]:     # t holds l, so it has started
+        if self.state[t]:       # t holds l, so it has started
             self._tick(t)
         self.holder[l] = -1
-        self.pending[t] = True
+        self.state[t] = OWED
         self.lock_hb[l] = tuple(self.hbt[t])
         return frames.pop()
 
@@ -278,43 +291,31 @@ class WcpEngine:
         i = self.cursors[l].get(t, 0)
         pred_t = self.pred[t]
         checks = self.invariant_checks
-        last = None     # latest drained release time not yet folded into pred_t
-        v = t           # its releaser
+        last = None     # latest drained release time not yet folded into pred_t, by v
         drained = 0
         while i < end:
-            entry = log_l[i]
-            u = entry[0]
+            u, acq, rel = log_l[i]
             if u == t:
                 i += 1
                 continue
-            acq = entry[1]
             # epoch test for leq(acq, C_t): u != t, so C_t[u] is pred_t[u]
             ok = acq[u] <= (pred_t[u] if u < len(pred_t) else 0)
-            if checks:
-                self._check_epoch(t, acq, ok)
+            if checks and leq(acq, self._snap(t)) != ok:
+                raise EngineError(f"epoch test disagrees with leq in the drain of thread {t}")
             if not ok:
-                if last is None:
-                    break
-                if v < len(pred_t) and last[v] <= pred_t[v]:
-                    # the fold changes nothing, so the retest would fail again
-                    if checks:
-                        self._check_skip(t, last)
-                    last = None
-                    break
-                join_into(pred_t, last)
+                # fold and retest; a skipped fold changes nothing, so the retest would fail
+                joined = last is not None and self._fold(t, pred_t, last, v)
                 last = None
+                if not joined:
+                    break
                 continue
-            last = entry[2]
-            if last is None:
+            if rel is None:
                 raise EngineError("drained a critical section whose release is still pending")
-            v = u
+            last, v = rel, u
             drained += 1
             i += 1
         if last is not None:
-            if v >= len(pred_t) or last[v] > pred_t[v]:
-                join_into(pred_t, last)
-            elif checks:
-                self._check_skip(t, last)
+            self._fold(t, pred_t, last, v)
         self.cursors[l][t] = i
         self.queue_load -= drained
         self.lock_pred[l] = tuple(pred_t)
@@ -324,8 +325,8 @@ class WcpEngine:
     def access(self, t: int, x: int, kind: int) -> tuple[int, ...]:
         """A read or write (kind) of x by t: rule (a) in every section t
         holds, each then filed as the latest over its lock to access (write) x."""
-        # per-event path: _tick only for a new row, an owed bump or a first event
-        if t >= len(self.hbt) or self.pending[t] or not self.started[t]:
+        # per-event path: _tick only for a new row or a state bit
+        if t >= len(self.state) or self.state[t]:
             self._tick(t)
         pred_t = self.pred[t]
         frames = self.frames[t]
@@ -344,11 +345,7 @@ class WcpEngine:
                 if last is not None and last[0] == t:
                     last = slot[i + 1]
                 if last is not None:
-                    rel, v = last[2], last[0]
-                    if v >= len(pred_t) or rel[v] > pred_t[v]:
-                        join_into(pred_t, rel)
-                    elif self.invariant_checks:
-                        self._check_skip(t, rel)
+                    self._fold(t, pred_t, last[2], last[0])
                 if slot[0][0] != t:
                     slot[1] = slot[0]
                 slot[0] = entry
@@ -362,7 +359,7 @@ class WcpEngine:
 
     def fork(self, t: int, u: int) -> tuple[int, ...]:
         self._ensure_thread(max(t, u))
-        if u == t or self.started[u]:
+        if u == t or not self.state[u] & NEW:
             raise EngineError(f"fork of already-active thread {u}", "ForkOfKnownThread")
         self._tick(t)
         self._start(u)
@@ -373,7 +370,7 @@ class WcpEngine:
         # handing the HB clock to the child ends the parent's local-clock
         # granule, exactly like a release: later same-granule parent events
         # must not look HB-below the child's sections to third parties
-        self.pending[t] = True
+        self.state[t] = OWED
         return snap
 
     def join(self, t: int, u: int) -> tuple[int, ...]:
@@ -382,9 +379,10 @@ class WcpEngine:
             raise EngineError("thread cannot join itself", "JoinOfLiveThread")
         self._tick(t)
         # u must never act again (the mark makes its next event raise), so
-        # exporting its HB clock below ends its last granule
-        self.pending[u] = JOINED
-        if not self.started[u]:
+        # exporting its HB clock below ends its last granule; an unstarted u
+        # keeps NEW, so a later fork of it is allowed
+        self.state[u] |= JOINED
+        if self.state[u] & NEW:
             self.warnings.append(EngineWarning("JoinOfUnknownThread", f"join of thread {u}, "
                                                "which has not started: nothing to join, "
                                                "and it may not act later"))
@@ -413,14 +411,6 @@ class WcpEngine:
             exc.event = e
             raise
         return snap
-
-    def _check_epoch(self, t: int, acq, ok: bool) -> None:
-        if leq(acq, self._snap(t)) != ok:
-            raise EngineError(f"epoch test disagrees with leq in the drain of thread {t}")
-
-    def _check_skip(self, t: int, rel) -> None:
-        if not leq(rel, self.pred[t]):
-            raise EngineError(f"epoch test skipped a join that changes pred of thread {t}")
 
     def _check_invariants(self, t: int) -> None:
         p, h = self.pred[t], self.hbt[t]

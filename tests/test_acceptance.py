@@ -104,7 +104,7 @@ def test_criterion_3_inclusion_chain(corpus, corpus_oracle):
     for tr, (hb, wle, cle) in zip(traces, rels):
         if not contains(cle, wle):
             violations += 1
-        hb_as_le = oracle.OrderRelation(tr.n_events, hb.bits, oracle.CP_LE)
+        hb_as_le = oracle.OrderRelation(hb.bits, "cple")
         if not contains(hb_as_le, cle):
             violations += 1
         rh = oracle.races_of(tr, hb)

@@ -217,25 +217,6 @@ def test_write_ordered_after_a_race_restores_the_epoch():
     assert not hb.writes and not hb.reads       # HB keeps no histories under both
 
 
-def test_caller_may_mutate_a_list_timestamp():
-    # one caller passes tuples, another reuses one list and scribbles over
-    # it after every call: the histories must not alias the caller's list
-    tr = gen_random(GenParams(threads=8, locks=4, vars=6, events=2000, p_lock=0.3, seed=5))
-    eng = WcpEngine()
-    by_tuple, by_list = AccessClocks(), AccessClocks()
-    flags_tuple, flags_list = [], []
-    buf = []
-    for e in tr.events:
-        c = eng.process(e)
-        if e.kind <= WRITE:
-            flags_tuple.append(check_access(by_tuple, e.kind, e.op, (e.tid, c)))
-            buf[:] = c
-            flags_list.append(check_access(by_list, e.kind, e.op, (e.tid, buf)))
-            buf[:] = [0] * len(buf)
-    assert flags_list == flags_tuple and any(flags_tuple)
-    assert (by_list.reads, by_list.writes) == (by_tuple.reads, by_tuple.writes)
-
-
 def shared_verdict_traces():
     """The fixtures and gadgets, gen_forky 0-299, and 2,000 gen_random
     traces: a quarter with sections left open, and every fourth with 2

@@ -629,6 +629,27 @@ def test_soundness_note_appears_exactly_over_a_sound_wcp_pair(capsys, tmp_path):
                     (("--pair-budget", "3"), False, True), (("--pair-budget", "0"), False, True)}
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 11: WCP ignores fork and join edges")
+def test_item_11_no_wcp_race_across_fork_or_join(capsys, tmp_path):
+    # a fork orders the parent's write before the child's read; a join the
+    # child's write before the parent's read; in gen_forky(90) t0 forks t1
+    # at 8 inside an l0 section and reads x2 at 9, and t1 writes x2 at 13,
+    # after its own l0 section, which waits for t0's release
+    cases = {"fork": "T1|w|y|a\nT1|fork|T2|b\nT2|r|y|c\n",
+             "join": "T1|fork|T2|a\nT2|w|y|b\nT1|join|T2|c\nT1|r|y|d\n",
+             "gen_forky(90)": gen_forky(90).serialize()}
+    races = {}
+    for name, text in cases.items():
+        path = tmp_path / "t.std"
+        path.write_text(text)
+        _, out, _ = run_cli(capsys, "analyze", "--detector", "wcp", "--pairs", str(path))
+        races[name] = [line for line in out.splitlines() if line.startswith("RACE|wcp|")]
+    races["gen_forky(90)"] = [line for line in races["gen_forky(90)"]
+                              if line.startswith("RACE|wcp|idx:13|idx:9|")]
+    assert races == {name: [] for name in cases}
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="peak_rss_mb reads /proc")
 def test_peak_rss_is_the_programs_own_not_its_spawners(fig_file):
     # ru_maxrss would carry the spawner's high-water mark across exec

@@ -96,7 +96,7 @@ def test_wcp_empty_without_conflicts():
 def test_races_of_full_order_is_empty():
     tr = fixture("fig1b")
     n = tr.n_events
-    full = oracle.OrderRelation(n, [((1 << n) - 1) >> i << i for i in range(n)], oracle.HB)
+    full = oracle.OrderRelation([((1 << n) - 1) >> i << i for i in range(n)], "hb")
     assert races_of(tr, full) == set()
 
 
@@ -116,7 +116,7 @@ def test_inclusion_chain_on_fixtures():
     for name, tr in fixtures().items():
         hb, wle, cle = hb_closure(tr), wcp_le(tr), cp_le(tr)
         assert contains(cle, wle), name
-        assert contains(oracle.OrderRelation(tr.n_events, hb.bits, oracle.CP_LE), cle), name
+        assert contains(oracle.OrderRelation(hb.bits, "cple"), cle), name
         assert races_of(tr, hb) <= races_of(tr, cle) <= races_of(tr, wle), name
 
 

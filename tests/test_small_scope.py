@@ -33,6 +33,7 @@ from racepred.hb_engine import HbEngine, validate
 from racepred.oracle import hb_closure, wcp_le
 from racepred.race_reporter import AccessClocks, run_detector
 from racepred.trace_model import ACQUIRE, FORK, JOIN, READ, RELEASE, WRITE, Trace
+from racepred.tracegen import GenParams, gen_random
 from racepred.vclock import leq
 from racepred.wcp_engine import EngineError, WcpEngine
 
@@ -124,6 +125,17 @@ def check_scope(threads, locks, variables, max_events):
 ])
 def test_engines_equal_the_oracle_on_every_small_trace(scope, count):
     assert check_scope(*scope) == count
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the oracle's rule (b) orders two sections of one "
+                          "thread, the engine's drain skips the thread's own log entries")
+def test_item_17_engines_equal_the_oracle_on_fork_free_random_traces():
+    # today seeds 95, 137, 179, 180, 201, 306, 320 and 397 differ, on wcp C only
+    differ = [seed for seed in range(400)
+              if mismatches(gen_random(GenParams(threads=3, locks=2, vars=2, events=60,
+                                                 max_nesting=2, p_lock=0.5, seed=seed)))]
+    assert differ == []
 
 
 @pytest.mark.exhaustive
